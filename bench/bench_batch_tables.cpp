@@ -3,7 +3,7 @@
 // writes one merged JSON report — the checked-in BENCH_seed.json baseline
 // (see EXPERIMENTS.md "Benchmark baseline").
 //
-// Usage:
+// Usage (`--help` lists the flags; unknown flags exit 2):
 //   bench_batch_tables [--jobs=N] [--compare-jobs=M] [--par-intra=K]
 //                      [--order=MODE] [--rel=MODE] [--table=1|2|3|all]
 //                      [--metrics-json=FILE] [--trace-out=FILE]
@@ -30,6 +30,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "repair/batch.hpp"
 #include "support/cli.hpp"
@@ -42,8 +44,41 @@
 #include "support/trace.hpp"
 #include "table_specs.hpp"
 
+namespace {
+
+const std::vector<lr::support::FlagSpec> kFlags = {
+    {"jobs", "N", "concurrent tasks (default: hardware threads)"},
+    {"compare-jobs", "M",
+     "rerun the sweep at M jobs and report the speedup"},
+    {"par-intra", "K", "intra-problem workers per task (default 0)"},
+    {"order", "MODE", "static variable order: decl|auto|interleave|adjacency"},
+    {"rel", "MODE", "transition relations: auto|mono|partition"},
+    {"table", "T", "paper table to sweep: 1|2|3|all (default all)"},
+    {"metrics-json", "FILE", "write the metrics registry as JSON"},
+    {"trace-out", "FILE", "write a Chrome trace of the sweep"},
+    {"help", "", "print this help and exit"},
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const lr::support::CommandLine cli(argc, argv);
+  if (cli.has("help")) {
+    std::printf("usage: %s [options]\n%s", cli.program().c_str(),
+                lr::support::format_flag_help(kFlags).c_str());
+    return 0;
+  }
+  if (const std::string unknown = lr::support::unknown_flag(cli, kFlags);
+      !unknown.empty()) {
+    std::fprintf(stderr, "unknown option --%s (see --help)\n",
+                 unknown.c_str());
+    return 2;
+  }
+  if (!cli.positional().empty()) {
+    std::fprintf(stderr, "unexpected argument '%s' (see --help)\n",
+                 cli.positional().front().c_str());
+    return 2;
+  }
   const std::string trace_path = cli.get("trace-out", "");
   if (!trace_path.empty()) lr::support::trace::start();
 

@@ -275,17 +275,11 @@ int main(int argc, char** argv) {
   }
   // Reject typos instead of silently ignoring them: every accepted flag is
   // declared in repair_cli_flag_specs().
-  for (const std::string& name : cli.option_names()) {
-    const auto& specs = lr::repair::repair_cli_flag_specs();
-    const bool known =
-        std::any_of(specs.begin(), specs.end(),
-                    [&name](const lr::support::FlagSpec& spec) {
-                      return spec.name == name;
-                    });
-    if (!known) {
-      std::fprintf(stderr, "unknown option --%s (see --help)\n", name.c_str());
-      return 2;
-    }
+  if (const std::string unknown = lr::support::unknown_flag(
+          cli, lr::repair::repair_cli_flag_specs());
+      !unknown.empty()) {
+    std::fprintf(stderr, "unknown option --%s (see --help)\n", unknown.c_str());
+    return 2;
   }
   if (cli.positional().empty() && !cli.has("batch") && !cli.has("chain")) {
     std::fputs(lr::repair::repair_cli_usage(cli.program()).c_str(), stdout);
@@ -337,7 +331,6 @@ int main(int argc, char** argv) {
     options.group_method = lr::repair::GroupMethod::kOneShot;
   }
   if (cli.has("no-heuristic")) options.restrict_to_reachable = false;
-  if (cli.has("sift")) options.sift_before_repair = true;
   if (cli.has("order")) {
     const std::string order_arg = cli.get("order", "");
     if (order_arg.rfind("file:", 0) == 0) {
@@ -537,8 +530,6 @@ int main(int argc, char** argv) {
     lr::bdd::meminfo::write_report(mem, std::cout);
     lr::bdd::meminfo::record_metrics(mem);
     lr::bdd::meminfo::write_gc_report(manager, std::cout);
-    lr::bdd::meminfo::write_reorder_report(manager, std::cout);
-    lr::bdd::meminfo::record_reorder_metrics(manager);
     std::printf("\n");
     lr::repair::write_relation_report(*program, options, std::cout);
     if (cli.has("order")) {

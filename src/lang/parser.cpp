@@ -157,6 +157,15 @@ class Lexer {
 
 // --- Parser --------------------------------------------------------------------
 
+/// Deepest expression nesting (parentheses, `!`, ite/next arguments) the
+/// recursive-descent parser accepts. Each level costs a handful of stack
+/// frames; 256 levels stay far inside the default stack even under
+/// AddressSanitizer, and no hand-written or exported model comes close.
+constexpr std::size_t kMaxNesting = 256;
+
+/// Largest declarable upper bound: domains hold at most 2^31 values.
+constexpr std::uint32_t kMaxVarHigh = (1u << 31) - 1;
+
 class Parser {
  public:
   explicit Parser(const std::string& source) : lexer_(source) {}
@@ -219,6 +228,10 @@ class Parser {
     expect(Tok::kSemicolon);
     if (lo != 0) throw ParseError(line, "variable ranges must start at 0");
     if (hi < lo) throw ParseError(line, "empty variable range");
+    if (hi > kMaxVarHigh) {
+      throw ParseError(line, "variable range too large (upper bound must be "
+                             "below 2^31)");
+    }
     if (vars_.count(name) != 0) {
       throw ParseError(line, "duplicate variable '" + name + "'");
     }
@@ -273,15 +286,15 @@ class Parser {
         expect(Tok::kAssign);
         if (lexer_.peek().kind == Tok::kLBrace) {
           (void)lexer_.take();
-          std::vector<Expr> alternatives{parse_expr()};
+          std::vector<Expr> alternatives{parse_assigned_value(v)};
           while (lexer_.peek().kind == Tok::kComma) {
             (void)lexer_.take();
-            alternatives.push_back(parse_expr());
+            alternatives.push_back(parse_assigned_value(v));
           }
           expect(Tok::kRBrace);
           a.assigns.push_back({v, std::move(alternatives)});
         } else {
-          a.assigns.push_back({v, {parse_expr()}});
+          a.assigns.push_back({v, {parse_assigned_value(v)}});
         }
       }
       if (lexer_.peek().kind != Tok::kComma) break;
@@ -290,8 +303,49 @@ class Parser {
     return a;
   }
 
+  /// One right-hand side of `v := ...`. A bare literal must lie inside the
+  /// target's domain: assigning an impossible value is a model error, not a
+  /// transition to silently drop.
+  Expr parse_assigned_value(sym::VarId v) {
+    const Token& next = lexer_.peek();
+    const bool literal = next.kind == Tok::kNumber;
+    const std::uint32_t value = next.number;
+    const std::size_t line = next.line;
+    Expr e = parse_expr();
+    const sym::VariableInfo& info = program_->space().info(v);
+    if (literal && e.kind() == Expr::Kind::kIntConst && value >= info.domain) {
+      throw ParseError(line, "value " + std::to_string(value) +
+                                 " is outside the domain of '" + info.name +
+                                 "' (0.." + std::to_string(info.domain - 1) +
+                                 ")");
+    }
+    return e;
+  }
+
   // --- expressions (precedence climbing) --------------------------------------
-  Expr parse_expr() { return parse_or(); }
+
+  /// Bounds the parser's recursion: every nested sub-expression holds one.
+  class NestingGuard {
+   public:
+    explicit NestingGuard(Parser& parser) : parser_(parser) {
+      if (++parser_.nesting_ > kMaxNesting) {
+        throw ParseError(parser_.lexer_.line(),
+                         "expression nested too deeply (more than " +
+                             std::to_string(kMaxNesting) + " levels)");
+      }
+    }
+    ~NestingGuard() { --parser_.nesting_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
+  Expr parse_expr() {
+    const NestingGuard guard(*this);
+    return parse_or();
+  }
 
   Expr parse_or() {
     Expr left = parse_and();
@@ -314,6 +368,7 @@ class Parser {
   Expr parse_not() {
     if (lexer_.peek().kind == Tok::kNot) {
       (void)lexer_.take();
+      const NestingGuard guard(*this);
       return !parse_not();
     }
     return parse_comparison();
@@ -429,6 +484,7 @@ class Parser {
   Lexer lexer_;
   std::unique_ptr<prog::DistributedProgram> program_;
   std::map<std::string, sym::VarId> vars_;
+  std::size_t nesting_ = 0;
 };
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "support/trace.hpp"
+#include "symbolic/relation.hpp"
 
 namespace lr::prog {
 
@@ -291,7 +292,10 @@ bdd::Bdd DistributedProgram::stutter_completion(const bdd::Bdd& delta) {
 const bdd::Bdd& DistributedProgram::reachable_under_faults() {
   compile();
   if (!reachable_.has_value()) {
-    reachable_ = space_.forward_reachable(transition_partitions(), invariant_bdd_);
+    const std::vector<bdd::Bdd> parts = transition_partitions();
+    reachable_ = space_.forward_reachable(
+        sym::TransitionRelation::build(space_, parts, sym::RelationMode::kMono),
+        invariant_bdd_);
   }
   return *reachable_;
 }

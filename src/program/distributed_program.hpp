@@ -100,7 +100,8 @@ class DistributedProgram {
   [[nodiscard]] const std::vector<bdd::Bdd>& fault_action_deltas();
 
   /// Process deltas followed by fault action deltas: the natural partition
-  /// of δ_P ∪ f for Space::forward_reachable(span, from). Stutter steps add
+  /// of δ_P ∪ f for partitioned forward reachability (one
+  /// sym::TransitionRelation part per entry). Stutter steps add
   /// no reachability and are omitted.
   [[nodiscard]] std::vector<bdd::Bdd> transition_partitions();
 

@@ -41,10 +41,7 @@ const std::vector<support::FlagSpec>& repair_cli_flag_specs() {
        "print engine statistics (incl. BDD manager), the\n"
        "per-span BDD attribution table, the BDD memory report\n"
        "(per-level node histogram, table/cache occupancy) and\n"
-       "the GC / reorder introspection sections"},
-      {"sift", "",
-       "run one sifting reorder pass before the repair\n"
-       "(exercises the --stats reorder section)"},
+       "the GC introspection section"},
       {"rel", "MODE",
        "transition-relation representation: auto|mono|\n"
        "partition (default auto). partition runs the\n"

@@ -94,7 +94,7 @@ std::string export_model(prog::DistributedProgram& program,
   bdd::Manager& mgr = space.manager();
   // foreach_cube enumerates DAG cubes, which depend on the variable order:
   // restore the creation order so exports are canonical no matter which
-  // --order mode (or sifting pass) the run used. Handles survive the swaps.
+  // --order mode the run used. Handles survive the swaps.
   (void)bdd::order::restore_creation_order(mgr);
   std::ostringstream out;
 

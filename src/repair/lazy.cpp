@@ -1,7 +1,6 @@
 #include "repair/lazy.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "repair/add_masking.hpp"
 #include "repair/journal.hpp"
@@ -31,41 +30,15 @@ void eliminate_livelocks(prog::DistributedProgram& program,
   LR_TRACE_SPAN("lazy_repair.eliminate_livelocks");
   sym::Space& space = program.space();
   const bdd::Bdd outside = span.minus(invariant);
-  // Intra mode runs the νZ below on its own plan without changing its
-  // value (the fixpoint is canonical; the sequential path cannot be
-  // touched because its op sequence must stay byte-stable): the descent is
-  // kept monolithic on the main manager, and successive passes warm-seed
-  // from the previous fixpoint — pruning only shrinks the deltas, so each
-  // pass's greatest fixpoint is contained in the previous pass's and the
-  // descent may start there instead of from `outside`.
-  const bool sharded = space.intra_active();
-  bdd::Bdd warm_seed = outside;
   for (std::size_t pass = 0; pass < 2 * deltas.size() + 2; ++pass) {
     throw_if_cancelled(options.cancel);
     bdd::Bdd actions = space.bdd_false();
     for (const bdd::Bdd& dj : deltas) actions |= dj;
     bdd::Bdd cycle_states = outside;
-    if (sharded) {
-      // The νZ iterate changes little per step, so the main op cache
-      // absorbs repeat iterations almost entirely; sharding would
-      // re-materialize every per-piece preimage each iteration. Run it
-      // monolithically, warm-seeded from the previous pass: pruning only
-      // ever shrinks the relation, so the old fixpoint over-approximates
-      // the new one and the descent reaches the same νZ from there.
-      bdd::Bdd z = warm_seed;
-      while (true) {
-        const bdd::Bdd shrunk = space.has_successor_in_local(actions, z);
-        if (shrunk == z) break;
-        z = shrunk;
-      }
-      cycle_states = z;
-      warm_seed = z;
-    } else {
-      while (true) {
-        const bdd::Bdd shrunk = space.has_successor_in(actions, cycle_states);
-        if (shrunk == cycle_states) break;
-        cycle_states = shrunk;
-      }
+    while (true) {
+      const bdd::Bdd shrunk = space.has_successor_in(actions, cycle_states);
+      if (shrunk == cycle_states) break;
+      cycle_states = shrunk;
     }
     if (cycle_states.is_false()) break;
     const bdd::Bdd on_cycle = cycle_states & space.prime(cycle_states);
@@ -114,8 +87,8 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
 
   throw_if_cancelled(options.cancel);
 
-  // Static order first: everything below (compilation, sifting, intra
-  // workers mirroring the main order) must see the chosen initial order.
+  // Static order first: everything below (compilation, intra workers
+  // mirroring the main order) must see the chosen initial order.
   apply_order_options(program, options);
 
   if (options.journal != nullptr) {
@@ -123,10 +96,6 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
                                tolerance_level_name(options.level));
   }
 
-  if (options.sift_before_repair) {
-    (void)program.program_delta();  // compile everything first
-    (void)space.manager().reorder_sifting();
-  }
   space.enable_intra(options.intra_jobs);
 
   // Resolve --rel against the program's natural partition width and record

@@ -74,7 +74,7 @@ class Manifest {
 };
 
 /// Canonical fingerprint of everything that changes a repair's outcome:
-/// algorithm, tolerance level, group method, heuristic/ExpandGroup/sift
+/// algorithm, tolerance level, group method, heuristic/ExpandGroup
 /// toggles, iteration bound and whether the verifier ran. A manifest row
 /// whose fingerprint differs from the current invocation is stale and its
 /// task re-runs. Timeout/retry/jobs settings are deliberately excluded:

@@ -67,12 +67,6 @@ struct Options {
 
   GroupMethod group_method = GroupMethod::kPaperLoop;
 
-  /// Run one pass of BDD variable sifting over the compiled program before
-  /// repairing. The interleaved static order is usually already good;
-  /// sifting occasionally helps models whose interaction structure does
-  /// not follow declaration order.
-  bool sift_before_repair = false;
-
   /// Static initial variable order, applied before the model is compiled
   /// (and before intra workers mirror the order): kDecl keeps declaration
   /// order, the heuristic modes compute one from the parsed structure, and

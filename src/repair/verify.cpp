@@ -1,6 +1,7 @@
 #include "repair/verify.hpp"
 
 #include "support/trace.hpp"
+#include "symbolic/relation.hpp"
 
 namespace lr::repair {
 
@@ -61,7 +62,10 @@ VerifyReport verify_masking(prog::DistributedProgram& program,
   std::vector<bdd::Bdd> partitions = result.process_deltas;
   const std::vector<bdd::Bdd>& fault_parts = program.fault_action_deltas();
   partitions.insert(partitions.end(), fault_parts.begin(), fault_parts.end());
-  const bdd::Bdd span = space.forward_reachable(partitions, s_new);
+  const bdd::Bdd span = space.forward_reachable(
+      sym::TransitionRelation::build(space, partitions,
+                                     sym::RelationMode::kMono),
+      s_new);
   report.reachable_span_states = space.count_states(span);
   fail(report.safety_under_faults,
        level == ToleranceLevel::kNonmasking ||
@@ -163,7 +167,10 @@ VerifyReport verify_tolerant_model(prog::DistributedProgram& program,
   std::vector<bdd::Bdd> partitions = view.process_deltas;
   const std::vector<bdd::Bdd>& fault_parts = program.fault_action_deltas();
   partitions.insert(partitions.end(), fault_parts.begin(), fault_parts.end());
-  view.fault_span = space.forward_reachable(partitions, s);
+  view.fault_span = space.forward_reachable(
+      sym::TransitionRelation::build(space, partitions,
+                                     sym::RelationMode::kMono),
+      s);
 
   return verify_masking(program, view, level);
 }

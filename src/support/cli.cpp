@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
 #include <string_view>
@@ -50,6 +51,17 @@ std::vector<std::string> CommandLine::option_names() const {
   names.reserve(options_.size());
   for (const auto& [name, value] : options_) names.push_back(name);
   return names;  // options_ is an ordered map: already sorted and unique
+}
+
+std::string unknown_flag(const CommandLine& cli,
+                         const std::vector<FlagSpec>& specs) {
+  for (const std::string& name : cli.option_names()) {
+    const bool known = std::any_of(
+        specs.begin(), specs.end(),
+        [&name](const FlagSpec& spec) { return spec.name == name; });
+    if (!known) return name;
+  }
+  return "";
 }
 
 std::string format_flag_help(const std::vector<FlagSpec>& specs) {

@@ -61,4 +61,10 @@ struct FlagSpec {
 /// newlines in `help` continued at the help column).
 [[nodiscard]] std::string format_flag_help(const std::vector<FlagSpec>& specs);
 
+/// The first option passed on `cli` that `specs` does not declare, or ""
+/// when every option is known. Binaries reject typos with it instead of
+/// silently ignoring them.
+[[nodiscard]] std::string unknown_flag(const CommandLine& cli,
+                                       const std::vector<FlagSpec>& specs);
+
 }  // namespace lr::support

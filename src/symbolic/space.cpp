@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "bdd/profile.hpp"
 #include "bdd/witness.hpp"
 #include "support/trace.hpp"
 #include "symbolic/intra.hpp"
@@ -39,6 +38,10 @@ VarId Space::add_variable(std::string name, std::uint32_t domain) {
   }
   if (domain < 1) {
     throw std::invalid_argument("Space::add_variable: domain must be >= 1");
+  }
+  if (domain > (1u << 31)) {
+    throw std::invalid_argument(
+        "Space::add_variable: domain must be at most 2^31");
   }
   VariableInfo info;
   info.name = std::move(name);
@@ -250,35 +253,6 @@ bdd::Bdd Space::preimage(const bdd::Bdd& rel, const bdd::Bdd& to) {
   return mgr_.and_exists(rel, prime(to), cube_next_);
 }
 
-bdd::Bdd Space::union_over_parts(
-    std::span<const bdd::Bdd> rels,
-    const std::function<bdd::Bdd(std::span<const bdd::Bdd>)>& sharded,
-    const std::function<bdd::Bdd(const bdd::Bdd&)>& step) {
-  freeze();
-  if (intra_ != nullptr && rels.size() > 1) return sharded(rels);
-  bdd::Bdd result = mgr_.bdd_false();
-  for (const bdd::Bdd& rel : rels) result |= step(rel);
-  return result;
-}
-
-bdd::Bdd Space::image(std::span<const bdd::Bdd> rels, const bdd::Bdd& from) {
-  return union_over_parts(
-      rels,
-      [this, &from](std::span<const bdd::Bdd> parts) {
-        return intra_->image(parts, from);
-      },
-      [this, &from](const bdd::Bdd& rel) { return image(rel, from); });
-}
-
-bdd::Bdd Space::preimage(std::span<const bdd::Bdd> rels, const bdd::Bdd& to) {
-  return union_over_parts(
-      rels,
-      [this, &to](std::span<const bdd::Bdd> parts) {
-        return intra_->preimage(parts, prime(to));
-      },
-      [this, &to](const bdd::Bdd& rel) { return preimage(rel, to); });
-}
-
 namespace {
 
 /// Expands one scheduled part into engine pieces. Single-factor parts are
@@ -358,7 +332,17 @@ bdd::Bdd Space::preimage_part(const RelationPart& part,
 
 bdd::Bdd Space::image(const TransitionRelation& rel, const bdd::Bdd& from) {
   freeze();
-  if (!rel.scheduled()) return image(rel.flat_parts(), from);
+  if (!rel.scheduled()) {
+    // Flat parts, reduced in partition order: the reference the sharded
+    // path must match bit-for-bit (it does: BDDs are canonical).
+    const std::span<const bdd::Bdd> parts = rel.flat_parts();
+    if (intra_ != nullptr && parts.size() > 1) {
+      return intra_->image(parts, from);
+    }
+    bdd::Bdd result = mgr_.bdd_false();
+    for (const bdd::Bdd& part : parts) result |= image(part, from);
+    return result;
+  }
   if (intra_ != nullptr && rel.part_count() > 1) {
     std::vector<IntraEngine::ScheduledPiece> pieces;
     for (const RelationPart& part : rel.parts()) {
@@ -375,7 +359,15 @@ bdd::Bdd Space::image(const TransitionRelation& rel, const bdd::Bdd& from) {
 
 bdd::Bdd Space::preimage(const TransitionRelation& rel, const bdd::Bdd& to) {
   freeze();
-  if (!rel.scheduled()) return preimage(rel.flat_parts(), to);
+  if (!rel.scheduled()) {
+    const std::span<const bdd::Bdd> parts = rel.flat_parts();
+    if (intra_ != nullptr && parts.size() > 1) {
+      return intra_->preimage(parts, prime(to));
+    }
+    bdd::Bdd result = mgr_.bdd_false();
+    for (const bdd::Bdd& part : parts) result |= preimage(part, to);
+    return result;
+  }
   const bdd::Bdd to_primed = prime(to);
   if (intra_ != nullptr && rel.part_count() > 1) {
     std::vector<IntraEngine::ScheduledPiece> pieces;
@@ -409,41 +401,10 @@ bdd::Bdd Space::forward_reachable(const bdd::Bdd& rel, const bdd::Bdd& from) {
   return reached;
 }
 
-bdd::Bdd Space::forward_reachable(std::span<const bdd::Bdd> rels,
-                                  const bdd::Bdd& from) {
-  LR_TRACE_SPAN_NAMED(span, "space.forward_reachable_partitioned");
-  std::uint64_t images = 0;
-  bdd::Bdd reached = from;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const bdd::Bdd& rel : rels) {
-      // Saturate this partition before moving to the next.
-      while (true) {
-        const bdd::Bdd fresh = image(rel, reached).minus(reached);
-        ++images;
-        if (fresh.is_false()) break;
-        reached |= fresh;
-        changed = true;
-      }
-    }
-  }
-  if (support::trace::enabled()) {
-    span.attr("partitions", static_cast<std::uint64_t>(rels.size()));
-    span.attr("image_steps", images);
-    span.attr("result_nodes",
-              static_cast<std::uint64_t>(reached.node_count()));
-  }
-  return reached;
-}
-
 bdd::Bdd Space::forward_reachable(const TransitionRelation& rel,
                                   const bdd::Bdd& from) {
-  if (!rel.scheduled()) {
-    if (rel.part_count() == 1) {
-      return forward_reachable(rel.flat_parts()[0], from);
-    }
-    return forward_reachable(rel.flat_parts(), from);
+  if (!rel.scheduled() && rel.part_count() == 1) {
+    return forward_reachable(rel.flat_parts()[0], from);
   }
   LR_TRACE_SPAN_NAMED(span, "space.forward_reachable_partitioned");
   freeze();
@@ -452,11 +413,15 @@ bdd::Bdd Space::forward_reachable(const TransitionRelation& rel,
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const RelationPart& part : rel.parts()) {
-      // Chaotic iteration: saturate this part before moving to the next
-      // (same schedule as the span overload above).
+    for (std::size_t i = 0; i < rel.part_count(); ++i) {
+      // Chaotic iteration: saturate this part before moving to the next.
       while (true) {
-        const bdd::Bdd fresh = image_part(part, reached).minus(reached);
+        // One expression: the image is released before `reached |=` runs
+        // (handle lifetimes steer GC timing, and so the op counts).
+        const bdd::Bdd fresh =
+            (rel.scheduled() ? image_part(rel.parts()[i], reached)
+                             : image(rel.flat_parts()[i], reached))
+                .minus(reached);
         ++images;
         if (fresh.is_false()) break;
         reached |= fresh;
@@ -492,12 +457,13 @@ bdd::Bdd Space::backward_reachable(const bdd::Bdd& rel, const bdd::Bdd& to) {
 }
 
 bdd::Bdd Space::has_successor_in(const bdd::Bdd& rel, const bdd::Bdd& set) {
-  return set & preimage(rel, set);
-}
-
-bdd::Bdd Space::has_successor_in(std::span<const bdd::Bdd> rels,
-                                 const bdd::Bdd& set) {
-  return set & preimage(rels, set);
+  freeze();
+  // Two statements, not one expression: prime(set) must be released before
+  // the conjunction runs. Handle lifetimes decide what a GC inside `&` can
+  // reclaim, and so when the op cache is next cleared — this keeps the op
+  // and GC sequence of preimage(rel, set) exactly.
+  const bdd::Bdd predecessors = mgr_.and_exists(rel, prime(set), cube_next_);
+  return set & predecessors;
 }
 
 bdd::Bdd Space::has_successor_in(const TransitionRelation& rel,
@@ -505,30 +471,15 @@ bdd::Bdd Space::has_successor_in(const TransitionRelation& rel,
   return set & preimage(rel, set);
 }
 
-bdd::Bdd Space::has_successor_in_local(const bdd::Bdd& rel,
-                                       const bdd::Bdd& set) {
-  freeze();
-  return set & mgr_.and_exists(rel, prime(set), cube_next_);
-}
-
 void Space::enable_intra(std::size_t jobs) {
   freeze();
-  // Profiled runs drive the engine even single-threaded: the engine's
-  // work-to-context assignment is thread-count invariant, so a profiled
-  // sequential run charges exactly the counters a --par-intra run does and
-  // their flamegraphs compare byte-for-byte.
-  if (jobs <= 1 && !bdd::profile::enabled()) {
+  if (jobs <= 1) {
     intra_.reset();
     return;
   }
-  if (jobs < 1) jobs = 1;
   if (intra_ != nullptr && intra_->jobs() == jobs) return;
   intra_ = std::make_unique<IntraEngine>(mgr_, jobs, cur_bit_list_,
                                          next_bit_list_, swap_perm_vec_);
-}
-
-std::size_t Space::intra_jobs() const noexcept {
-  return intra_ != nullptr ? intra_->jobs() : 1;
 }
 
 double Space::count_states(const bdd::Bdd& set) {

@@ -56,7 +56,8 @@ class Space {
   Space(const Space&) = delete;
   Space& operator=(const Space&) = delete;
 
-  /// Declares a variable with values 0..domain-1. Allocation order defines
+  /// Declares a variable with values 0..domain-1 (1 <= domain <= 2^31;
+  /// throws std::invalid_argument otherwise). Allocation order defines
   /// the BDD variable order, so callers should declare interacting
   /// variables (e.g. chain neighbors) consecutively.
   VarId add_variable(std::string name, std::uint32_t domain);
@@ -138,25 +139,15 @@ class Space {
   /// image() when intra sharding is enabled.
   [[nodiscard]] bdd::Bdd preimage(const bdd::Bdd& rel, const bdd::Bdd& to);
 
-  /// Image over a *partitioned* relation: ∪_i image(rels[i], from).
-  /// Sequentially reduced in partition order when intra sharding is off;
-  /// dispatched onto the worker pool when on. Identical result either way.
-  [[nodiscard]] bdd::Bdd image(std::span<const bdd::Bdd> rels,
-                               const bdd::Bdd& from);
-
-  /// Preimage over a partitioned relation: ∪_i preimage(rels[i], to).
-  [[nodiscard]] bdd::Bdd preimage(std::span<const bdd::Bdd> rels,
-                                  const bdd::Bdd& to);
-
   // --- Relation-aware overloads (symbolic/relation.hpp) --------------------
   //
   // A scheduled TransitionRelation interleaves quantification with
   // conjunction: per part, the bits outside the part's support are
   // quantified out of the operand first, then a combined and-exists over
   // the part's conjuncts quantifies only the support-local bits. An
-  // unscheduled (mono) relation falls through to the flat overloads above,
-  // reproducing the historical execution path exactly. Either way the
-  // results are the same canonical sets.
+  // unscheduled (mono) relation reduces the flat per-part products above
+  // in partition order, reproducing the historical execution path exactly.
+  // Either way the results are the same canonical sets.
 
   /// Image over a TransitionRelation (∪ over parts).
   [[nodiscard]] bdd::Bdd image(const TransitionRelation& rel,
@@ -170,18 +161,12 @@ class Space {
   [[nodiscard]] bdd::Bdd forward_reachable(const bdd::Bdd& rel,
                                            const bdd::Bdd& from);
 
-  /// Forward reachability over a *partitioned* relation (one BDD per
-  /// action/process), computed by chaotic iteration: each partition is
-  /// saturated in turn until a global fixpoint. Produces the same set as
-  /// forward_reachable(∪ rels, from) but avoids the frontier blow-up of
-  /// breadth-first search on loosely-coupled relations (orders of magnitude
-  /// faster on havoc-style fault structures).
-  [[nodiscard]] bdd::Bdd forward_reachable(std::span<const bdd::Bdd> rels,
-                                           const bdd::Bdd& from);
-
-  /// Forward reachability over a TransitionRelation: chaotic per-part
-  /// saturation when the relation has several parts (scheduled or not),
-  /// breadth-first on the single part otherwise.
+  /// Forward reachability over a TransitionRelation. With several parts
+  /// (scheduled or not) it runs chaotic iteration: each part is saturated
+  /// in turn until a global fixpoint. That is the same set as breadth-first
+  /// search over the union, without the frontier blow-up on loosely-coupled
+  /// relations (orders of magnitude faster on havoc-style fault
+  /// structures). A single mono part runs breadth-first.
   [[nodiscard]] bdd::Bdd forward_reachable(const TransitionRelation& rel,
                                            const bdd::Bdd& from);
 
@@ -190,26 +175,18 @@ class Space {
                                             const bdd::Bdd& to);
 
   /// States of `set` that have at least one `rel`-successor within `set`
-  /// — i.e. set ∩ preimage(rel, set). Used by livelock (νZ) fixpoints.
+  /// — i.e. set ∩ preimage(rel, set). Always computed monolithically on
+  /// the main manager, even when intra sharding is on: fixpoints whose
+  /// iterate changes little per step (livelock νZ) are faster this way,
+  /// because the main op cache absorbs repeat iterations almost entirely,
+  /// while worker dispatch would re-materialize every per-piece preimage
+  /// each iteration.
   [[nodiscard]] bdd::Bdd has_successor_in(const bdd::Bdd& rel,
-                                          const bdd::Bdd& set);
-
-  /// Partitioned form: set ∩ ∪_i preimage(rels[i], set). The νZ fixpoints
-  /// use this to avoid ever building the monolithic ∪_i rels[i] product.
-  [[nodiscard]] bdd::Bdd has_successor_in(std::span<const bdd::Bdd> rels,
                                           const bdd::Bdd& set);
 
   /// TransitionRelation form: set ∩ preimage(rel, set).
   [[nodiscard]] bdd::Bdd has_successor_in(const TransitionRelation& rel,
                                           const bdd::Bdd& set);
-
-  /// has_successor_in computed monolithically on the main manager even
-  /// when intra sharding is on. Fixpoints whose iterate changes little per
-  /// step (livelock νZ) are faster this way: the main op cache absorbs
-  /// repeat iterations almost entirely, while worker dispatch would
-  /// re-materialize every per-piece preimage each iteration.
-  [[nodiscard]] bdd::Bdd has_successor_in_local(const bdd::Bdd& rel,
-                                               const bdd::Bdd& set);
 
   // --- Intra-problem sharding ------------------------------------------------
 
@@ -217,26 +194,10 @@ class Space {
   /// preimage computation on a per-Space worker pool (see
   /// symbolic/intra.hpp). Freezes the space. Results are bit-identical to
   /// the sequential path in either mode; only wall-clock and memory
-  /// behavior change. Idempotent per jobs value.
-  ///
-  /// Exception: while profiling is on (bdd::profile::enabled()), jobs <= 1
-  /// still engages the engine with a one-thread pool. The engine's
-  /// work-to-context assignment is invariant in the thread count, so a
-  /// profiled sequential run and a profiled --par-intra run charge
-  /// identical counters and export byte-identical flamegraphs.
+  /// behavior change. Profiling never changes the choice: a profiled run
+  /// executes the same plan as an unprofiled one. Idempotent per jobs
+  /// value.
   void enable_intra(std::size_t jobs);
-
-  /// Pool thread count of the sharded path (1 = sequential execution —
-  /// though the engine may still be active under profiling, see
-  /// enable_intra). Algorithm selection must use intra_active() instead.
-  [[nodiscard]] std::size_t intra_jobs() const noexcept;
-
-  /// True when the sharding engine is active, whatever its thread count.
-  /// The branch condition for sharded-vs-monolithic plans: both profiled
-  /// modes agree on it, keeping their op sequences identical.
-  [[nodiscard]] bool intra_active() const noexcept {
-    return intra_ != nullptr;
-  }
 
   /// The sharding engine, or nullptr when sequential. The repair layer
   /// uses it directly for parallel per-process group enumeration.
@@ -294,15 +255,6 @@ class Space {
                                                           Version ver) const {
     return ver == Version::kCurrent ? vars_[v].cur_bits : vars_[v].next_bits;
   }
-
-  /// Shared union-reduce over a partitioned relation: dispatches to the
-  /// intra engine for multi-part relations, otherwise reduces
-  /// `step(rels[i])` in partition order — the reference the sharded path
-  /// must match bit-for-bit (it does: BDDs are canonical).
-  [[nodiscard]] bdd::Bdd union_over_parts(
-      std::span<const bdd::Bdd> rels,
-      const std::function<bdd::Bdd(std::span<const bdd::Bdd>)>& sharded,
-      const std::function<bdd::Bdd(const bdd::Bdd&)>& step);
 
   /// Early-quantified image/preimage of one scheduled part (see
   /// symbolic/relation.hpp). With the intra engine active the part is

@@ -17,6 +17,7 @@
 #include "bdd/profile.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
+#include "symbolic/relation.hpp"
 #include "symbolic/space.hpp"
 
 namespace lr::bdd {
@@ -203,8 +204,10 @@ ShardedFixture make_sharded_space() {
   return fx;
 }
 
-void sharded_workload(sym::Space& space, std::span<const bdd::Bdd> rels,
+void sharded_workload(sym::Space& space, std::span<const bdd::Bdd> parts,
                       bool nested) {
+  const sym::TransitionRelation rels =
+      sym::TransitionRelation::build(space, parts, sym::RelationMode::kMono);
   const bdd::Bdd from = space.valid(sym::Version::kCurrent);
   if (nested) {
     LR_TRACE_SPAN("profile_test.shard_outer");

@@ -349,26 +349,36 @@ TEST(CliGoldenTest_LrReport, RegressionBeyondMaxRatioFails) {
 
 TEST(CliGoldenTest_Flame, CollapsedProfileMatchesGoldenAndIsParIntraInvariant) {
   // The default weight (work_steps) is machine-independent, so the
-  // collapsed file is a byte-exact golden — and the profiled engine's
-  // thread-count invariance makes the --par-intra=4 run write the very
-  // same bytes.
+  // collapsed file of the default (sequential) plan is a byte-exact golden.
+  // The sharded plan is a different plan, but the engine's thread-count
+  // invariance makes --par-intra=2 and --par-intra=4 write the very same
+  // bytes.
   const std::string seq_path =
       ::testing::TempDir() + "cli_golden_tmr_seq.collapsed";
-  const std::string par_path =
-      ::testing::TempDir() + "cli_golden_tmr_par.collapsed";
+  const std::string par2_path =
+      ::testing::TempDir() + "cli_golden_tmr_par2.collapsed";
+  const std::string par4_path =
+      ::testing::TempDir() + "cli_golden_tmr_par4.collapsed";
   const CliRun seq =
       run_cli(models_dir() + "/tmr.lr --flamegraph=" + seq_path);
   EXPECT_EQ(seq.exit_code, 0) << seq.output;
-  const CliRun par = run_cli(models_dir() +
-                             "/tmr.lr --par-intra=4 --flamegraph=" + par_path);
-  EXPECT_EQ(par.exit_code, 0) << par.output;
+  const CliRun par2 = run_cli(
+      models_dir() + "/tmr.lr --par-intra=2 --flamegraph=" + par2_path);
+  EXPECT_EQ(par2.exit_code, 0) << par2.output;
+  const CliRun par4 = run_cli(
+      models_dir() + "/tmr.lr --par-intra=4 --flamegraph=" + par4_path);
+  EXPECT_EQ(par4.exit_code, 0) << par4.output;
   const std::string collapsed = read_file(seq_path);
   ASSERT_FALSE(collapsed.empty()) << "no collapsed profile at " << seq_path;
   expect_matches_golden(collapsed, "tmr.flame.golden");
-  EXPECT_EQ(collapsed, read_file(par_path))
-      << "--par-intra changed the collapsed profile";
+  const std::string par2_collapsed = read_file(par2_path);
+  ASSERT_FALSE(par2_collapsed.empty()) << "no collapsed profile at "
+                                       << par2_path;
+  EXPECT_EQ(par2_collapsed, read_file(par4_path))
+      << "--par-intra thread count changed the collapsed profile";
   std::remove(seq_path.c_str());
-  std::remove(par_path.c_str());
+  std::remove(par2_path.c_str());
+  std::remove(par4_path.c_str());
 }
 
 TEST(CliGoldenTest_Flame, BadWeightAndBatchModeAreRejected) {

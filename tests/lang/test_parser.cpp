@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lang/parser.hpp"
 #include "repair/lazy.hpp"
 #include "repair/verify.hpp"
@@ -129,6 +131,81 @@ TEST(ParserTest, RejectsBadInput) {
       ParseError);  // unknown variable
   EXPECT_THROW((void)parse_program("program x; var a : 0..1; invariant a @;"),
                ParseError);  // bad character
+}
+
+/// Parses `source`, expecting a ParseError on `line` whose message
+/// contains `fragment`.
+void expect_parse_error(const std::string& source, std::size_t line,
+                        const std::string& fragment) {
+  try {
+    (void)parse_program(source);
+    FAIL() << "expected ParseError containing '" << fragment << "'";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), line) << e.what();
+    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ParserTest, DeepNestingIsAParseErrorNotACrash) {
+  // Hostile nesting must end in a diagnostic, not a stack overflow.
+  constexpr std::size_t kDepth = 200000;
+  const std::string parens = "program deep;\nvar x : 0..1;\ninvariant " +
+                             std::string(kDepth, '(') + "x == 0" +
+                             std::string(kDepth, ')') + ";\n";
+  expect_parse_error(parens, 3, "nested too deeply");
+  // Negation chains recurse without parentheses.
+  const std::string nots = "program deep;\nvar x : 0..1;\ninvariant " +
+                           std::string(kDepth, '!') + "(x == 0);\n";
+  expect_parse_error(nots, 3, "nested too deeply");
+  // Realistic nesting is untouched.
+  auto p = parse_program("program ok;\nvar x : 0..1;\ninvariant " +
+                         std::string(100, '(') + "x == 0" +
+                         std::string(100, ')') + ";\n");
+  EXPECT_DOUBLE_EQ(p->space().count_states(p->invariant()), 1.0);
+}
+
+TEST(ParserTest, UpperBoundOfTwoTo32MinusOneIsRejectedNotWrapped) {
+  // hi + 1 must not wrap to 0 (which would misreport an empty domain).
+  expect_parse_error("program big;\nvar x : 0..4294967295;\ninvariant true;\n",
+                     2, "below 2^31");
+}
+
+TEST(ParserTest, UpperBoundAboveTwoTo31IsRejectedNotHung) {
+  // Domains above 2^31 would overflow the bit-width computation.
+  expect_parse_error("program big;\nvar x : 0..3000000000;\ninvariant true;\n",
+                     2, "below 2^31");
+  expect_parse_error("program big;\nvar x : 0..2147483648;\ninvariant true;\n",
+                     2, "below 2^31");
+}
+
+TEST(ParserTest, LiteralAssignmentOutsideDomainIsRejected) {
+  expect_parse_error(R"(program oob;
+var x : 0..2;
+process p {
+  reads x;
+  writes x;
+  action t: x == 0 ->
+    x := 9;
+}
+invariant x == 0;
+)",
+                     7, "outside the domain of 'x' (0..2)");
+  // Every alternative of a nondeterministic choice is checked.
+  expect_parse_error(R"(program oob;
+var x : 0..2;
+fault f: true -> x := {1, 3};
+invariant x == 0;
+)",
+                     3, "value 3");
+  // In-domain literals and computed values still parse.
+  auto p = parse_program(R"(program ok;
+var x : 0..2;
+fault f: x < 2 -> x := {0, 2};
+fault g: x < 2 -> x := x + 1;
+invariant x == 0;
+)");
+  EXPECT_EQ(p->name(), "ok");
 }
 
 TEST(ParserTest, ModelFilesInRepositoryParseAndRepair) {

@@ -6,9 +6,13 @@
 //    the re-bucketing;
 //  * collapsed-stack line weights sum to the run's total work_steps under
 //    every weight mode that is deterministic;
-//  * the collapsed output is byte-identical between a sequential repair
-//    and one with intra_jobs = 4, because workers charge the dispatching
-//    thread's span path and merge after join.
+//  * the collapsed output is byte-identical between intra_jobs = 2 and
+//    intra_jobs = 4, because workers charge the dispatching thread's span
+//    path and merge after join (a sequential run executes a different plan
+//    — no sharding engine — so its profile legitimately differs);
+//  * measuring does not change what is measured: a profiled run leaves the
+//    main manager with exactly the cache lookups and created nodes of an
+//    unprofiled run of the same plan, sequential and sharded alike.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +40,7 @@ using ProgramFactory =
 
 struct ProfileRun {
   bool success = false;
+  bdd::ManagerStats main_stats;
   bdd::profile::SpanCounters totals;
   bdd::profile::SpanCounters flat_sum;
   bdd::profile::SpanCounters tree_sum;
@@ -53,6 +58,7 @@ ProfileRun run_profiled(const ProgramFactory& make, std::size_t intra_jobs) {
   const bdd::profile::Profiler& prof = program->space().manager().profiler();
   ProfileRun run;
   run.success = result.success;
+  run.main_stats = program->space().manager().stats();
   run.totals = prof.totals();
   for (const auto& [name, counters] : prof.buckets()) {
     run.flat_sum.accumulate(counters);
@@ -66,6 +72,16 @@ ProfileRun run_profiled(const ProgramFactory& make, std::size_t intra_jobs) {
       bdd::profile::to_collapsed(prof, bdd::profile::FlameWeight::kNodes);
   bdd::profile::set_enabled(false);
   return run;
+}
+
+bdd::ManagerStats run_unprofiled(const ProgramFactory& make,
+                                 std::size_t intra_jobs) {
+  std::unique_ptr<prog::DistributedProgram> program = make();
+  Options options;
+  options.intra_jobs = intra_jobs;
+  const RepairResult result = lazy_repair(*program, options);
+  EXPECT_TRUE(result.success);
+  return program->space().manager().stats();
 }
 
 std::uint64_t sum_collapsed_weights(const std::string& collapsed) {
@@ -118,16 +134,33 @@ void expect_conservation(const char* name, const ProgramFactory& make) {
             seq.totals.created_nodes)
       << name;
 
-  // Workers charge the dispatching path: the profile is byte-identical
-  // under intra parallelism, not merely weight-conserving.
+  // Workers charge the dispatching path, and work is strided over a fixed
+  // number of contexts: the profile is byte-identical whatever the thread
+  // count, not merely weight-conserving.
+  const ProfileRun par2 = run_profiled(make, 2);
   const ProfileRun par = run_profiled(make, 4);
-  EXPECT_EQ(seq.collapsed_steps, par.collapsed_steps)
-      << name << ": collapsed steps profile differs under --par-intra=4";
+  EXPECT_EQ(par2.collapsed_steps, par.collapsed_steps)
+      << name << ": collapsed steps profile differs between --par-intra=2 "
+      << "and --par-intra=4";
   expect_counters_equal(par.flat_sum, par.totals,
                         std::string(name) + " par flat vs totals");
   EXPECT_EQ(sum_collapsed_weights(par.collapsed_steps),
             par.totals.work_steps())
       << name;
+}
+
+/// Profiling must not choose the plan: at each intra_jobs value the
+/// profiled run does exactly the main-manager work of the unprofiled one.
+void expect_profiling_keeps_plan(const char* name, const ProgramFactory& make) {
+  for (const std::size_t intra_jobs : {std::size_t{1}, std::size_t{4}}) {
+    const ProfileRun profiled = run_profiled(make, intra_jobs);
+    const bdd::ManagerStats plain = run_unprofiled(make, intra_jobs);
+    const std::string what =
+        std::string(name) + " intra_jobs=" + std::to_string(intra_jobs);
+    EXPECT_TRUE(profiled.success) << what;
+    EXPECT_EQ(profiled.main_stats.cache_lookups, plain.cache_lookups) << what;
+    EXPECT_EQ(profiled.main_stats.created_nodes, plain.created_nodes) << what;
+  }
 }
 
 TEST(FlamegraphConservationTest, Tmr) {
@@ -146,6 +179,27 @@ TEST(FlamegraphConservationTest, Chain) {
   cs::ChainOptions chain;
   chain.length = 8;
   expect_conservation("Sc^8", [chain] { return cs::make_chain(chain); });
+}
+
+TEST(ProfiledPlanTest, Tmr) {
+  expect_profiling_keeps_plan("tmr", [] { return cs::make_tmr({}); });
+}
+
+TEST(ProfiledPlanTest, TokenRing) {
+  expect_profiling_keeps_plan("token_ring",
+                              [] { return cs::make_token_ring({}); });
+}
+
+TEST(ProfiledPlanTest, Byzantine) {
+  expect_profiling_keeps_plan("byzantine",
+                              [] { return cs::make_byzantine({}); });
+}
+
+TEST(ProfiledPlanTest, Chain) {
+  cs::ChainOptions chain;
+  chain.length = 8;
+  expect_profiling_keeps_plan("Sc^8",
+                              [chain] { return cs::make_chain(chain); });
 }
 
 }  // namespace

@@ -31,7 +31,10 @@ Realized realize_case(prog::DistributedProgram& p, GroupMethod method,
   EXPECT_TRUE(step1.success);
   std::vector<bdd::Bdd> parts{step1.delta};
   for (const bdd::Bdd& f : p.fault_action_deltas()) parts.push_back(f);
-  out.tolerance = p.space().forward_reachable(parts, step1.invariant);
+  out.tolerance = p.space().forward_reachable(
+      sym::TransitionRelation::build(p.space(), parts,
+                                     sym::RelationMode::kMono),
+      step1.invariant);
   out.deltas = realize(p, step1.delta, out.tolerance, options, out.stats);
   return out;
 }
@@ -105,8 +108,10 @@ TEST(RealizeTest, UnionOfDeltasWithinStepOneDeltaInsideTolerance) {
   ASSERT_TRUE(step1.success);
   std::vector<bdd::Bdd> parts{step1.delta};
   for (const bdd::Bdd& f : p->fault_action_deltas()) parts.push_back(f);
-  const bdd::Bdd tolerance =
-      p->space().forward_reachable(parts, step1.invariant);
+  const bdd::Bdd tolerance = p->space().forward_reachable(
+      sym::TransitionRelation::build(p->space(), parts,
+                                     sym::RelationMode::kMono),
+      step1.invariant);
   const auto deltas = realize(*p, step1.delta, tolerance, options, stats);
   for (const bdd::Bdd& dj : deltas) {
     EXPECT_TRUE((dj & tolerance).leq(step1.delta));

@@ -133,7 +133,9 @@ TEST(ToleranceLevelTest, FailsafeKeepsSafetyUnderFaults) {
   auto& sp = p->space();
   std::vector<bdd::Bdd> parts = r.process_deltas;
   for (const auto& f : p->fault_action_deltas()) parts.push_back(f);
-  const bdd::Bdd span = sp.forward_reachable(parts, r.invariant);
+  const bdd::Bdd span = sp.forward_reachable(
+      sym::TransitionRelation::build(sp, parts, sym::RelationMode::kMono),
+      r.invariant);
   EXPECT_TRUE(span.disjoint(p->safety().bad_states));
 }
 

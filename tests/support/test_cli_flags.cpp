@@ -5,10 +5,15 @@
 //  2. every declared flag appears in the generated --help text,
 //  3. every declared flag appears in the generated Markdown reference
 //     (the committed docs/flags.md copy is byte-checked by test_docs.cpp).
+// bench_batch_tables declares its flags the same way: --help prints them
+// and exits 0, and an undeclared flag is a usage error (exit 2).
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <fstream>
 #include <regex>
 #include <set>
@@ -29,12 +34,12 @@ std::string read_file(const std::string& path) {
 
 std::string source_root() { return LR_SOURCE_DIR; }
 
-/// Flags the repair_cli source actually queries: every cli.has("x"),
+/// Flags a binary's source actually queries: every cli.has("x"),
 /// cli.get("x", ...) and cli.get_int("x", ...) call site.
-std::set<std::string> flags_queried_by_source() {
-  const std::string source =
-      read_file(source_root() + "/examples/repair_cli.cpp");
-  EXPECT_FALSE(source.empty()) << "cannot read examples/repair_cli.cpp";
+std::set<std::string> flags_queried_by_source(
+    const std::string& relative = "examples/repair_cli.cpp") {
+  const std::string source = read_file(source_root() + "/" + relative);
+  EXPECT_FALSE(source.empty()) << "cannot read " << relative;
   static const std::regex query(R"~(cli\.(?:has|get|get_int)\(\s*"([a-z-]+)")~");
   std::set<std::string> names;
   for (std::sregex_iterator it(source.begin(), source.end(), query), end;
@@ -124,6 +129,47 @@ TEST(CliFlagsTest, FormatFlagHelpAlignsAndContinuesMultilineHelp) {
   EXPECT_NE(text.find("\n                        second\n"),
             std::string::npos)
       << text;
+}
+
+struct BinaryRun {
+  int exit_code = -1;
+  std::string output;  ///< stdout only
+};
+
+BinaryRun run_bench_batch_tables(const std::string& args) {
+  BinaryRun run;
+  const std::string command =
+      std::string(LR_BENCH_BATCH_TABLES) + " " + args + " 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return run;
+  std::array<char, 4096> buffer;
+  std::size_t n = 0;
+  while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
+    run.output.append(buffer.data(), n);
+  }
+  const int status = pclose(pipe);
+  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return run;
+}
+
+TEST(CliFlagsTest, BenchBatchTablesHelpPrintsUsageAndExitsZero) {
+  const BinaryRun run = run_bench_batch_tables("--help");
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("usage:"), std::string::npos) << run.output;
+  // Help, not a sweep: no table was run.
+  EXPECT_EQ(run.output.find("=== Tables"), std::string::npos) << run.output;
+  for (const std::string& name :
+       flags_queried_by_source("bench/bench_batch_tables.cpp")) {
+    EXPECT_NE(run.output.find("--" + name), std::string::npos)
+        << "bench_batch_tables queries --" << name
+        << " but --help does not list it";
+  }
+}
+
+TEST(CliFlagsTest, BenchBatchTablesRejectsUnknownFlags) {
+  EXPECT_EQ(run_bench_batch_tables("--jbos=2").exit_code, 2);
+  EXPECT_EQ(run_bench_batch_tables("--table=3 --sift").exit_code, 2);
+  EXPECT_EQ(run_bench_batch_tables("stray-argument").exit_code, 2);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdint>
 #include <latch>
-#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,6 +24,7 @@
 #include "support/progress.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
+#include "symbolic/relation.hpp"
 #include "symbolic/space.hpp"
 
 namespace lr::support {
@@ -209,13 +209,15 @@ TEST(ObservabilityThreadsTest, IntraBddReadPathHammerMatchesSequential) {
     froms.push_back(space.value_eq(vars[0], v, sym::Version::kCurrent) &
                     space.value_lt(vars[1], v + 1, sym::Version::kCurrent));
   }
+  const sym::TransitionRelation relation =
+      sym::TransitionRelation::build(space, rels, sym::RelationMode::kMono);
   // Sequential references, computed before sharding is switched on (same
   // manager, so canonicity makes equality a node-id comparison).
   std::vector<bdd::Bdd> img_ref;
   std::vector<bdd::Bdd> pre_ref;
   for (const bdd::Bdd& from : froms) {
-    img_ref.push_back(space.image(std::span<const bdd::Bdd>(rels), from));
-    pre_ref.push_back(space.preimage(std::span<const bdd::Bdd>(rels), from));
+    img_ref.push_back(space.image(relation, from));
+    pre_ref.push_back(space.preimage(relation, from));
   }
 
   space.enable_intra(4);
@@ -225,10 +227,8 @@ TEST(ObservabilityThreadsTest, IntraBddReadPathHammerMatchesSequential) {
     LR_TRACE_SPAN("hammer.intra_bdd");
     for (std::size_t round = 0; round < kHammerRounds; ++round) {
       const std::size_t v = round % froms.size();
-      const bdd::Bdd img =
-          space.image(std::span<const bdd::Bdd>(rels), froms[v]);
-      const bdd::Bdd pre =
-          space.preimage(std::span<const bdd::Bdd>(rels), froms[v]);
+      const bdd::Bdd img = space.image(relation, froms[v]);
+      const bdd::Bdd pre = space.preimage(relation, froms[v]);
       ASSERT_TRUE(img == img_ref[v]) << "sharded image diverged, round "
                                      << round;
       ASSERT_TRUE(pre == pre_ref[v]) << "sharded preimage diverged, round "

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "support/rng.hpp"
+#include "symbolic/relation.hpp"
 #include "symbolic/space.hpp"
 
 namespace lr::sym {
@@ -44,9 +45,15 @@ TEST_P(PartitionedReachTest, AgreesWithMonolithicBfs) {
       all |= rel;
       parts.push_back(std::move(rel));
     }
+    const TransitionRelation mono =
+        TransitionRelation::build(space, parts, RelationMode::kMono);
+    const TransitionRelation scheduled =
+        TransitionRelation::build(space, parts, RelationMode::kPartition);
     const std::uint32_t start[3] = {0, 0, 0};
     const bdd::Bdd from = space.state(start);
-    EXPECT_EQ(space.forward_reachable(parts, from),
+    EXPECT_EQ(space.forward_reachable(mono, from),
+              space.forward_reachable(all, from));
+    EXPECT_EQ(space.forward_reachable(scheduled, from),
               space.forward_reachable(all, from));
     // Also from a random bigger seed set.
     const std::uint32_t start2[3] = {
@@ -54,7 +61,9 @@ TEST_P(PartitionedReachTest, AgreesWithMonolithicBfs) {
         static_cast<std::uint32_t>(rng.below(4)),
         static_cast<std::uint32_t>(rng.below(2))};
     const bdd::Bdd seeds = from | space.state(start2);
-    EXPECT_EQ(space.forward_reachable(parts, seeds),
+    EXPECT_EQ(space.forward_reachable(mono, seeds),
+              space.forward_reachable(all, seeds));
+    EXPECT_EQ(space.forward_reachable(scheduled, seeds),
               space.forward_reachable(all, seeds));
   }
 }
@@ -64,7 +73,9 @@ TEST_P(PartitionedReachTest, EmptyPartitionListIsIdentity) {
   (void)space.add_variable("a", 4);
   const std::uint32_t s[1] = {2};
   const bdd::Bdd from = space.state(s);
-  EXPECT_EQ(space.forward_reachable(std::span<const bdd::Bdd>{}, from), from);
+  EXPECT_EQ(space.forward_reachable(
+                TransitionRelation(space, RelationMode::kMono), from),
+            from);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionedReachTest,

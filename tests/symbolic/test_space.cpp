@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "symbolic/space.hpp"
@@ -25,6 +26,17 @@ TEST(SpaceTest, VariableMetadata) {
   EXPECT_DOUBLE_EQ(space.state_space_size(), 48.0);
   EXPECT_EQ(space.find("b"), b);
   EXPECT_FALSE(space.find("zz").has_value());
+}
+
+TEST(SpaceTest, AddVariableRejectsDomainsOutsideOneToTwoTo31) {
+  Space space;
+  EXPECT_THROW((void)space.add_variable("zero", 0), std::invalid_argument);
+  EXPECT_THROW((void)space.add_variable("huge", (1u << 31) + 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)space.add_variable("max", 0xffffffffu),
+               std::invalid_argument);
+  const VarId widest = space.add_variable("widest", 1u << 31);
+  EXPECT_EQ(space.info(widest).bits, 31u);
 }
 
 TEST(SpaceTest, BitsAreInterleavedCurrentNext) {
