@@ -129,6 +129,8 @@ struct ManagerStats {
   std::uint64_t cache_lookups = 0;   ///< operation cache probes
   std::uint64_t cache_hits = 0;      ///< operation cache hits
   std::uint64_t cache_evictions = 0; ///< live cache entries overwritten
+  std::uint64_t cache_resizes = 0;   ///< op-cache doublings (adaptive growth)
+  std::size_t cache_entries = 0;     ///< current op-cache entry count
   std::size_t peak_bytes = 0;        ///< high-water mark of pool+table+cache bytes
 };
 
@@ -157,9 +159,19 @@ struct GcRecord {
 ///    memoized so repeated NOT is cheap.
 ///  * Nodes are pool indices, the unique table is a chained hash over the
 ///    pool, and the operation cache is one direct-mapped array keyed by
-///    (op, a, b, c). The cache is cleared on GC, which also guarantees that
-///    a reused node slot can never alias a stale cache entry (slots are
-///    only recycled by the GC itself).
+///    (op, a, b, c).
+///  * The cache adapts to the working set, in the style of CUDD's cache
+///    resizing: it starts at 2^cache_log2 entries, and each time the
+///    lookups since the last check reach its entry count it doubles if
+///    that window hit at least 30% of lookups *and* evicted at least 1/8
+///    of them (up to kMaxCacheEntries). Both tests read the manager's own
+///    counters, so growth is deterministic for a given op sequence. A
+///    cold workload (every op new) evicts heavily but never hits, and
+///    stays small.
+///  * GC clears a cache that never grew. Once it has grown, GC keeps every
+///    entry whose operands and result survive the mark phase and drops the
+///    rest, so a recycled node slot can never alias a stale entry (slots
+///    are only recycled by the GC itself).
 ///  * Garbage collection is mark-and-sweep from externally referenced
 ///    nodes. It runs only at public operation entry points, never inside a
 ///    recursion, so intermediate results need no protection.
@@ -171,12 +183,17 @@ class Manager {
   struct Options {
     /// Initial node pool capacity (grows on demand).
     std::size_t initial_capacity = 1u << 16;
-    /// log2 of the operation-cache entry count.
+    /// log2 of the *initial* operation-cache entry count; the cache then
+    /// doubles under pressure up to kMaxCacheEntries (see class notes).
     unsigned cache_log2 = 20;
     /// GC triggers when live nodes exceed this (adapts upward when GC
     /// reclaims too little).
     std::size_t gc_threshold = 1u << 18;
   };
+
+  /// Growth cap of the adaptive op cache: 2^22 entries, 80 MiB at 20 bytes
+  /// each. Measured on Sc^35 d8, 2^23 saves 0.4% of lookups for +80 MB.
+  static constexpr std::size_t kMaxCacheEntries = std::size_t{1} << 22;
 
   Manager();
   explicit Manager(const Options& options);
@@ -430,6 +447,8 @@ class Manager {
   NodeId alloc_node();
   void grow_buckets();
   void maybe_gc();
+  void maybe_grow_cache();
+  void retain_live_cache_entries();
   void collect_garbage_impl(GcTrigger trigger);
   void mark(NodeId root, std::vector<NodeId>& stack);
 
@@ -487,6 +506,10 @@ class Manager {
 
   std::vector<CacheEntry> cache_;
   std::size_t cache_mask_ = 0;
+  /// Counter values at the start of the current growth window.
+  std::uint64_t window_lookups_ = 0;
+  std::uint64_t window_hits_ = 0;
+  std::uint64_t window_evictions_ = 0;
 
   std::uint32_t num_vars_ = 0;
   std::vector<std::uint32_t> level_of_var_;  // var -> level

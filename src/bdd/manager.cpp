@@ -131,6 +131,7 @@ Manager::Manager(const Options& options)
   const std::size_t cache_size = std::size_t{1} << options.cache_log2;
   cache_.resize(cache_size);
   cache_mask_ = cache_size - 1;
+  stats_.cache_entries = cache_size;
   init_pool(options.initial_capacity < 64 ? 64 : options.initial_capacity);
   note_peak_bytes();
 }
@@ -259,6 +260,7 @@ std::size_t Manager::live_nodes() const noexcept {
 }
 
 void Manager::maybe_gc() {
+  maybe_grow_cache();
   if (live_nodes() < gc_threshold_) return;
   collect_garbage_impl(GcTrigger::kThreshold);
   // If the collection freed little, raise the threshold so we do not thrash.
@@ -300,6 +302,13 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
       mark(id, stack);
     }
   }
+  // The cache step reads the marks, so it runs before the sweep clears them.
+  if (stats_.cache_resizes == 0) {
+    // A cache that never grew is small and cheap to refill: drop it all.
+    std::fill(cache_.begin(), cache_.end(), CacheEntry{});
+  } else {
+    retain_live_cache_entries();
+  }
   // Sweep: rebuild the unique table from marked nodes, free the rest.
   std::fill(buckets_.begin(), buckets_.end(), kFalseId);
   free_head_ = 0;
@@ -328,8 +337,6 @@ void Manager::collect_garbage_impl(GcTrigger trigger) {
       has_free_ = true;
     }
   }
-  // Stale cache entries may reference freed slots; drop everything.
-  std::fill(cache_.begin(), cache_.end(), CacheEntry{});
   stats_.live_nodes = live_nodes();
   const double gc_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - gc_start)
@@ -377,6 +384,56 @@ std::size_t Manager::cache_entries_used() const {
 }
 
 // --- Operation cache -----------------------------------------------------------
+
+void Manager::maybe_grow_cache() {
+  // One window is as many lookups as the cache has entries.
+  const std::uint64_t lookups = stats_.cache_lookups - window_lookups_;
+  if (lookups < cache_.size()) return;
+  const std::uint64_t hits = stats_.cache_hits - window_hits_;
+  const std::uint64_t evictions = stats_.cache_evictions - window_evictions_;
+  window_lookups_ = stats_.cache_lookups;
+  window_hits_ = stats_.cache_hits;
+  window_evictions_ = stats_.cache_evictions;
+  // Grow only when the cache both pays (hits >= 30%) and overflows
+  // (evictions >= 1/8): a cold working set evicts too, but doubling the
+  // cache would not make its ops repeat.
+  if (cache_.size() >= kMaxCacheEntries || hits * 10 < lookups * 3 ||
+      evictions * 8 < lookups) {
+    return;
+  }
+  // Doubling splits each slot in two, so the occupied entries rehash
+  // without colliding.
+  std::vector<CacheEntry> grown(cache_.size() * 2);
+  const std::size_t mask = grown.size() - 1;
+  for (const CacheEntry& e : cache_) {
+    if (e.op != kOpNone) grown[hash_cache(e.op, e.a, e.b, e.c) & mask] = e;
+  }
+  cache_ = std::move(grown);
+  cache_mask_ = mask;
+  ++stats_.cache_resizes;
+  stats_.cache_entries = cache_.size();
+  note_peak_bytes();
+}
+
+void Manager::retain_live_cache_entries() {
+  // Called between mark and sweep: a node survives this GC iff it is a
+  // terminal or carries the mark bit. Free slots (kFreeVar) have the top
+  // bit set too, so they are excluded explicitly.
+  const auto survives = [this](NodeId id) {
+    if (id <= kTrueId) return true;
+    const VarIndex var = nodes_[id].var;
+    return var != kFreeVar && (var & 0x80000000u) != 0;
+  };
+  for (CacheEntry& e : cache_) {
+    if (e.op == kOpNone) continue;
+    const bool cube_survives = (e.op & kOpAndExists3Flag) == 0 ||
+                               survives(e.op & ~kOpAndExists3Flag);
+    if (!cube_survives || !survives(e.a) || !survives(e.b) ||
+        !survives(e.c) || !survives(e.result)) {
+      e = CacheEntry{};
+    }
+  }
+}
 
 bool Manager::cache_get(std::uint32_t op, NodeId a, NodeId b, NodeId c,
                         NodeId& out) {

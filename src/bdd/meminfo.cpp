@@ -69,6 +69,7 @@ MemInfo collect(const Manager& mgr) {
   info.cache_lookups = stats.cache_lookups;
   info.cache_hits = stats.cache_hits;
   info.cache_evictions = stats.cache_evictions;
+  info.cache_resizes = stats.cache_resizes;
   info.cache_hit_rate =
       info.cache_lookups == 0
           ? 0.0
@@ -98,6 +99,13 @@ void write_report(const MemInfo& info, std::ostream& out,
       << percent(info.cache_occupancy) << "), hit rate "
       << percent(info.cache_hit_rate) << ", " << info.cache_evictions
       << " evictions\n";
+  out << "  cache growth  " << info.cache_resizes << " resizes to "
+      << info.cache_entries << " entries, "
+      << fixed2(info.cache_lookups == 0
+                    ? 0.0
+                    : static_cast<double>(info.cache_evictions) /
+                          static_cast<double>(info.cache_lookups))
+      << " evictions/lookup\n";
 
   // Top levels by live-node population, largest first; ties break toward
   // the upper level so the listing is deterministic.

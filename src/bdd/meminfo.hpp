@@ -33,6 +33,7 @@ struct MemInfo {
   std::uint64_t cache_lookups = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_evictions = 0;
+  std::uint64_t cache_resizes = 0;  ///< adaptive doublings so far
   double cache_hit_rate = 0.0;
 
   std::vector<std::size_t> level_histogram;  ///< live nodes per level

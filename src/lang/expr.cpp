@@ -14,6 +14,25 @@ namespace {
 
 // --- Construction ---------------------------------------------------------------
 
+Expr::Node::~Node() {
+  // Sole-owned children are moved onto an explicit stack and emptied there
+  // before they die, so no destructor ever recurses into a child.
+  std::vector<std::shared_ptr<const Node>> doomed;
+  const auto detach = [&doomed](std::vector<Expr>& kids) {
+    for (Expr& kid : kids) {
+      if (kid.node_.use_count() == 1) doomed.push_back(std::move(kid.node_));
+    }
+  };
+  detach(children);
+  while (!doomed.empty()) {
+    const std::shared_ptr<const Node> node = std::move(doomed.back());
+    doomed.pop_back();
+    // Every Node is created non-const (make_shared<Node>), and this is its
+    // last owner.
+    detach(const_cast<Node&>(*node).children);
+  }
+}
+
 Expr Expr::make(Kind kind, std::vector<Expr> children) {
   for (const Expr& c : children) {
     if (c.empty()) type_error("operand is an empty expression");
@@ -86,9 +105,29 @@ bool Expr::is_boolean() const {
 }
 
 void Expr::collect_vars(std::vector<sym::VarId>& out) const {
-  if (node_ == nullptr) return;
-  if (node_->kind == Kind::kVar) out.push_back(node_->value);
-  for (const Expr& child : node_->children) child.collect_vars(out);
+  // Pre-order walk on an explicit stack (children pushed in reverse), so
+  // a left-deep chain costs no recursion.
+  std::vector<const Node*> stack;
+  if (node_ != nullptr) stack.push_back(node_.get());
+  while (!stack.empty()) {
+    const Node& n = *stack.back();
+    stack.pop_back();
+    if (n.kind == Kind::kVar) out.push_back(n.value);
+    for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
+      stack.push_back(it->node_.get());
+    }
+  }
+}
+
+const Expr& Expr::left_spine(const Expr& e, Kind kind,
+                             std::vector<const Expr*>& rights) {
+  const Expr* cur = &e;
+  while (cur->kind() == kind) {
+    const std::vector<Expr>& kids = cur->node_->children;
+    rights.push_back(&kids[1]);
+    cur = &kids[0];
+  }
+  return *cur;
 }
 
 std::string Expr::to_string() const { return to_string_impl(node(), nullptr); }
@@ -119,9 +158,20 @@ std::string Expr::to_string_impl(const Node& n, const sym::Space* space) {
     case Kind::kNot:
       return "!" + sub(n.children[0]);
     case Kind::kAnd:
-      return binary("&&");
-    case Kind::kOr:
-      return binary("||");
+    case Kind::kOr: {
+      // "((c0 op c1) op c2) ... op cn)" from the spine, not by recursion.
+      const char* op = n.kind == Kind::kAnd ? " && " : " || ";
+      std::vector<const Expr*> rights{&n.children[1]};
+      const Expr& first = left_spine(n.children[0], n.kind, rights);
+      std::string out(rights.size(), '(');
+      out += sub(first);
+      for (auto it = rights.rbegin(); it != rights.rend(); ++it) {
+        out += op;
+        out += sub(**it);
+        out += ')';
+      }
+      return out;
+    }
     case Kind::kImplies:
       return "(!" + sub(n.children[0]) + " || " + sub(n.children[1]) + ")";
     case Kind::kIff:
@@ -185,9 +235,24 @@ bdd::Bdd Compiler::compile_bool(const Expr& e) {
     case Expr::Kind::kNot:
       return ~compile_bool(n.children[0]);
     case Expr::Kind::kAnd:
-      return compile_bool(n.children[0]) & compile_bool(n.children[1]);
-    case Expr::Kind::kOr:
-      return compile_bool(n.children[0]) | compile_bool(n.children[1]);
+    case Expr::Kind::kOr: {
+      // A left-deep chain is compiled without recursion but in the op
+      // order (and with the handle lifetimes) of the recursive
+      // `compile(lhs) & compile(rhs)` it replaces, whose operands g++
+      // evaluated right first: cn ... c1, then c0, then the left fold
+      // (c0 op c1) op c2 ..., each operand released once folded in.
+      std::vector<const Expr*> rights;
+      const Expr& first = Expr::left_spine(e, n.kind, rights);
+      std::vector<bdd::Bdd> operands;
+      operands.reserve(rights.size());
+      for (const Expr* right : rights) operands.push_back(compile_bool(*right));
+      bdd::Bdd acc = compile_bool(first);
+      for (auto it = operands.rbegin(); it != operands.rend(); ++it) {
+        acc = n.kind == Expr::Kind::kAnd ? acc & *it : acc | *it;
+        *it = bdd::Bdd();
+      }
+      return acc;
+    }
     case Expr::Kind::kImplies:
       return compile_bool(n.children[0]).implies(compile_bool(n.children[1]));
     case Expr::Kind::kIff:

@@ -111,12 +111,22 @@ class Expr {
     std::uint32_t value = 0;  // IntConst value / BoolConst (0/1) / VarId
     sym::Version version = sym::Version::kCurrent;  // for kVar
     std::vector<Expr> children;
+
+    /// Frees sole-owned descendants iteratively: a flat 200,000-term `||`
+    /// parses into a left-deep tree of that height.
+    ~Node();
   };
 
   explicit Expr(std::shared_ptr<const Node> node) : node_(std::move(node)) {}
   [[nodiscard]] static Expr make(Kind kind, std::vector<Expr> children);
   [[nodiscard]] static std::string to_string_impl(const Node& n,
                                                   const sym::Space* space);
+  /// Walks the left spine of a left-deep `kind` chain
+  /// `((c0 op c1) op c2) ... op cn` rooted at `e` without recursion:
+  /// appends cn ... c1 (top down) to `rights` and returns c0. Parsed `&&`
+  /// and `||` chains are left-deep and may be 200,000 terms long.
+  [[nodiscard]] static const Expr& left_spine(const Expr& e, Kind kind,
+                                              std::vector<const Expr*>& rights);
   [[nodiscard]] const Node& node() const;
 
   std::shared_ptr<const Node> node_;

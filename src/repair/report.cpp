@@ -37,6 +37,9 @@ void record_run_metrics(const Stats& stats, const std::string& prefix) {
   m.add(p + "bdd.gc_runs", stats.bdd.gc_runs);
   m.add(p + "bdd.gc_reclaimed", stats.bdd.gc_reclaimed);
   m.add(p + "bdd.cache_evictions", stats.bdd.cache_evictions);
+  m.add(p + "bdd.cache_resizes", stats.bdd.cache_resizes);
+  m.max_gauge(p + "bdd.cache_entries",
+              static_cast<double>(stats.bdd.cache_entries));
   m.max_gauge(p + "bdd.live_nodes", static_cast<double>(stats.bdd.live_nodes));
   m.max_gauge(p + "bdd.peak_nodes", static_cast<double>(stats.bdd.peak_nodes));
   m.max_gauge(p + "bdd.peak_bytes", static_cast<double>(stats.bdd.peak_bytes));

@@ -13,10 +13,11 @@ namespace lr::sym {
 
 namespace {
 
-/// Worker managers keep the main manager's cache geometry: fixpoint
-/// iterations only stay cheap when the operation cache survives from one
-/// iteration to the next, and a smaller direct-mapped cache evicts exactly
-/// those entries.
+/// Worker managers start from the main manager's initial cache size and
+/// grow it under their own pressure, like any manager (bdd.hpp): fixpoint
+/// iterations only stay cheap when the operation cache holds their working
+/// set from one iteration to the next. Each worker owns its cache, so a
+/// grown engine costs up to kContexts × kMaxCacheEntries entries.
 bdd::Manager::Options worker_manager_options() {
   bdd::Manager::Options options;
   options.initial_capacity = 1u << 16;

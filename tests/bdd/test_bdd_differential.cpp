@@ -20,8 +20,10 @@ constexpr std::uint32_t kVars = 12;
 /// Deterministically replays a random workload of boolean and quantifier
 /// operations and returns a fingerprint of every intermediate result
 /// (its satisfying-assignment count — semantic, so node ids don't matter).
+/// `resizes`, when given, receives the manager's op-cache doublings.
 std::vector<double> run_workload(const Manager::Options& options,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed,
+                                 std::uint64_t* resizes = nullptr) {
   Manager mgr(options);
   std::vector<VarIndex> vars;
   for (std::uint32_t i = 0; i < kVars; ++i) vars.push_back(mgr.new_var());
@@ -54,7 +56,20 @@ std::vector<double> run_workload(const Manager::Options& options,
       pool.erase(pool.begin() + 2, pool.begin() + 20);
     }
   }
+  if (resizes != nullptr) *resizes = mgr.stats().cache_resizes;
   return fingerprint;
+}
+
+constexpr std::uint64_t kSeeds[] = {3ull, 17ull, 2026ull, 0xc0ffeeull};
+
+/// The small geometry of GeometriesAgree: its 2^8-entry cache evicts
+/// heavily, its pool grows, and GC runs every few thousand nodes.
+Manager::Options tiny_geometry() {
+  Manager::Options tiny;
+  tiny.cache_log2 = 8;          // heavy cache eviction
+  tiny.initial_capacity = 256;  // forced pool growth
+  tiny.gc_threshold = 2048;     // frequent garbage collections
+  return tiny;
 }
 
 class BddDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -65,13 +80,8 @@ TEST_P(BddDifferentialTest, GeometriesAgree) {
   big.initial_capacity = 1u << 16;
   big.gc_threshold = 1u << 20;
 
-  Manager::Options tiny;
-  tiny.cache_log2 = 8;          // heavy cache eviction
-  tiny.initial_capacity = 256;  // forced pool growth
-  tiny.gc_threshold = 2048;     // frequent garbage collections
-
   const auto reference = run_workload(big, GetParam());
-  const auto stressed = run_workload(tiny, GetParam());
+  const auto stressed = run_workload(tiny_geometry(), GetParam());
   ASSERT_EQ(reference.size(), stressed.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     ASSERT_DOUBLE_EQ(reference[i], stressed[i]) << "step " << i;
@@ -79,7 +89,20 @@ TEST_P(BddDifferentialTest, GeometriesAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddDifferentialTest,
-                         ::testing::Values(3ull, 17ull, 2026ull, 0xc0ffeeull));
+                         ::testing::ValuesIn(kSeeds));
+
+TEST(BddDifferentialCoverageTest, TinyGeometryGrowsItsCacheOnSomeSeed) {
+  // Keeps GeometriesAgree honest about what it covers: on at least one seed
+  // the small cache grows, so the comparison spans growth (rehashing) and
+  // GC retention of a grown cache, not only eviction.
+  std::uint64_t grown_seeds = 0;
+  for (const std::uint64_t seed : kSeeds) {
+    std::uint64_t resizes = 0;
+    (void)run_workload(tiny_geometry(), seed, &resizes);
+    grown_seeds += resizes > 0 ? 1 : 0;
+  }
+  EXPECT_GT(grown_seeds, 0u);
+}
 
 }  // namespace
 }  // namespace lr::bdd

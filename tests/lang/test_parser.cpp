@@ -5,6 +5,7 @@
 #include <string>
 
 #include "lang/parser.hpp"
+#include "repair/export.hpp"
 #include "repair/lazy.hpp"
 #include "repair/verify.hpp"
 
@@ -163,6 +164,47 @@ TEST(ParserTest, DeepNestingIsAParseErrorNotACrash) {
                          std::string(100, '(') + "x == 0" +
                          std::string(100, ')') + ";\n");
   EXPECT_DOUBLE_EQ(p->space().count_states(p->invariant()), 1.0);
+}
+
+/// A quickstart model whose guard, invariant and bad-state predicate are
+/// each a flat, unparenthesized chain of `terms` copies joined by `op`.
+std::string flat_chain_model(const char* op, std::size_t terms) {
+  const auto chain = [&](const std::string& term) {
+    std::string out = term;
+    for (std::size_t i = 1; i < terms; ++i) {
+      out += std::string(" ") + op + " " + term;
+    }
+    return out;
+  };
+  return "program flat;\nvar x : 0..2;\nprocess worker {\n  reads x;\n"
+         "  writes x;\n  action reset: " + chain("x == 1") +
+         " -> x := 0;\n}\nfault glitch: x == 0 -> x := 1;\ninvariant " +
+         chain("x == 0") + ";\nbad_state " + chain("x == 2") + ";\n";
+}
+
+/// Parses, orders, repairs, verifies and exports a flat-chain model, then
+/// destroys it: every pass over the left-deep chain must be iterative.
+void expect_flat_chain_repairs(const char* op) {
+  constexpr std::size_t kTerms = 200000;
+  auto p = parse_program(flat_chain_model(op, kTerms));
+  EXPECT_DOUBLE_EQ(p->space().count_states(p->invariant()), 1.0);
+  EXPECT_EQ(p->order_structure().action_vars.size(), 4u);  // collect_vars
+  const auto result = repair::lazy_repair(*p);
+  ASSERT_TRUE(result.success);
+  EXPECT_TRUE(repair::verify_masking(*p, result).ok);
+  // The export prints the chain as the parser folded it: left-deep.
+  const std::string exported = repair::export_model(*p, result);
+  EXPECT_NE(exported.find("invariant " + std::string(kTerms - 1, '(') +
+                          "(x == 0) " + op + " (x == 0))"),
+            std::string::npos);
+}
+
+TEST(ParserTest, FlatTwoHundredThousandTermOrChainRepairsWithoutCrashing) {
+  expect_flat_chain_repairs("||");
+}
+
+TEST(ParserTest, FlatTwoHundredThousandTermAndChainRepairsWithoutCrashing) {
+  expect_flat_chain_repairs("&&");
 }
 
 TEST(ParserTest, UpperBoundOfTwoTo32MinusOneIsRejectedNotWrapped) {
