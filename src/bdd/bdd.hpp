@@ -18,11 +18,11 @@ class Profiler;
 /// 1 (true); all other ids denote internal nodes.
 using NodeId = std::uint32_t;
 
-/// A boolean variable. Variables are identified by their creation index;
-/// their *position* in the order is a separate notion (the level), which
-/// starts out equal to the creation index and changes under
-/// Manager::swap_adjacent_levels(). The symbolic layer constructs a good
-/// static interleaved order up front.
+/// A boolean variable, identified by its creation index. The variable
+/// order is fixed: a variable's level *is* its index, so variables created
+/// earlier sit nearer the root. The symbolic layer creates the bits of each
+/// program variable with current and next copies interleaved (see
+/// sym::Space::add_variable).
 using VarIndex = std::uint32_t;
 
 /// Identifier of a registered variable permutation (see
@@ -205,22 +205,6 @@ class Manager {
   /// Creates a new boolean variable at the bottom of the order.
   VarIndex new_var();
 
-  /// Current level (order position) of a variable; levels change under
-  /// swap_adjacent_levels(). Terminals sort below every variable.
-  [[nodiscard]] std::uint32_t level_of(VarIndex v) const noexcept {
-    return level_of_var_[v];
-  }
-
-  /// The variable currently at a level.
-  [[nodiscard]] VarIndex var_at_level(std::uint32_t level) const noexcept {
-    return var_at_level_[level];
-  }
-
-  /// One reordering primitive: in-place exchange of the variables at
-  /// `level` and `level + 1`. Returns the change in live-node count.
-  /// Semantics of every existing handle are preserved.
-  std::ptrdiff_t swap_adjacent_levels(std::uint32_t level);
-
   /// Number of variables created so far.
   [[nodiscard]] std::uint32_t var_count() const noexcept {
     return num_vars_;
@@ -331,8 +315,8 @@ class Manager {
   void collect_garbage();
 
   // --- Memory & structure telemetry ------------------------------------------
-  /// Live internal nodes per *level* (index = order position). One pool
-  /// walk, no allocation beyond the result vector.
+  /// Live internal nodes per level (index = variable, which is its order
+  /// position). One pool walk, no allocation beyond the result vector.
   [[nodiscard]] std::vector<std::size_t> level_histogram() const;
 
   /// Unique-table shape: total buckets and buckets with at least one node.
@@ -383,7 +367,7 @@ class Manager {
   /// Read-only view of node `id` for structural traversals from other
   /// threads (see bdd/transfer.hpp). Contract: while any such traversal is
   /// in flight, no thread may call a mutating operation on this manager —
-  /// no apply/quantify/permute (they allocate), no GC, no reordering, no
+  /// no apply/quantify/permute (they allocate), no GC, no
   /// Bdd handle copies or drops (refcounts are non-atomic). The intra
   /// engine keeps the owning thread quiescent between dispatch and join,
   /// and pins every root it hands out so `id` cannot be swept or recycled.
@@ -458,18 +442,6 @@ class Manager {
     if (bytes > stats_.peak_bytes) stats_.peak_bytes = bytes;
   }
 
-  /// Level of a node's variable; terminals (and the free marker) get the
-  /// maximum level so ordering comparisons treat them as deepest.
-  [[nodiscard]] std::uint32_t node_level(VarIndex var) const noexcept {
-    return var < num_vars_ ? level_of_var_[var] : 0xffffffffu;
-  }
-
-  /// Unique-table bucket of a (var, lo, hi) triple.
-  [[nodiscard]] std::size_t unique_bucket(VarIndex var, NodeId lo,
-                                          NodeId hi) const noexcept;
-  void unlink_node(NodeId id);  ///< removes id from its unique-table bucket
-  void relink_node(NodeId id);  ///< re-inserts id under its current triple
-
   void inc_ref(NodeId id) noexcept;
   void dec_ref(NodeId id) noexcept;
   [[nodiscard]] Bdd wrap(NodeId id) noexcept { return Bdd(this, id); }
@@ -512,8 +484,6 @@ class Manager {
   std::uint64_t window_evictions_ = 0;
 
   std::uint32_t num_vars_ = 0;
-  std::vector<std::uint32_t> level_of_var_;  // var -> level
-  std::vector<VarIndex> var_at_level_;       // level -> var
   std::vector<std::vector<VarIndex>> permutations_;
 
   std::size_t gc_threshold_;

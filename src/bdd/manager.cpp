@@ -150,10 +150,7 @@ void Manager::init_pool(std::size_t capacity) {
 }
 
 VarIndex Manager::new_var() {
-  const VarIndex v = num_vars_++;
-  level_of_var_.push_back(v);   // new variables start at the bottom level
-  var_at_level_.push_back(v);
-  return v;
+  return num_vars_++;
 }
 
 Bdd Manager::bdd_false() { return wrap(kFalseId); }
@@ -171,9 +168,7 @@ Bdd Manager::bdd_nvar(VarIndex v) {
 
 Bdd Manager::make_cube(std::span<const VarIndex> vars) {
   std::vector<VarIndex> sorted(vars.begin(), vars.end());
-  std::sort(sorted.begin(), sorted.end(), [this](VarIndex a, VarIndex b) {
-    return level_of_var_[a] < level_of_var_[b];
-  });
+  std::sort(sorted.begin(), sorted.end());
   NodeId acc = kTrueId;
   for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
     assert(*it < num_vars_);
@@ -241,11 +236,6 @@ void Manager::grow_buckets() {
   buckets_ = std::move(fresh);
   bucket_mask_ = mask;
   note_peak_bytes();
-}
-
-std::size_t Manager::unique_bucket(VarIndex var, NodeId lo,
-                                   NodeId hi) const noexcept {
-  return hash_triple(var, lo, hi) & bucket_mask_;
 }
 
 void Manager::inc_ref(NodeId id) noexcept { ++nodes_[id].refs; }
@@ -366,7 +356,7 @@ std::vector<std::size_t> Manager::level_histogram() const {
   for (NodeId id = 2; id < nodes_.size(); ++id) {
     const VarIndex var = nodes_[id].var;
     if (var == kFreeVar || var == kTerminalVar) continue;
-    ++hist[level_of_var_[var]];
+    ++hist[var];
   }
   return hist;
 }

@@ -77,10 +77,6 @@ MemInfo collect(const Manager& mgr) {
                 static_cast<double>(info.cache_lookups);
 
   info.level_histogram = mgr.level_histogram();
-  info.var_at_level.reserve(info.level_histogram.size());
-  for (std::uint32_t level = 0; level < info.level_histogram.size(); ++level) {
-    info.var_at_level.push_back(mgr.var_at_level(level));
-  }
   return info;
 }
 
@@ -119,12 +115,14 @@ void write_report(const MemInfo& info, std::ostream& out,
   });
   const std::size_t internal = std::accumulate(
       info.level_histogram.begin(), info.level_histogram.end(), std::size_t{0});
+  // A level is its variable's index (fixed order); the "var" column keeps
+  // the report's long-standing shape.
   support::Table table({"level", "var", "nodes", "share"});
   std::size_t shown = 0;
   for (const std::size_t level : levels) {
     if (shown == max_levels || info.level_histogram[level] == 0) break;
     table.add_row({std::to_string(level),
-                   "v" + std::to_string(info.var_at_level[level]),
+                   "v" + std::to_string(level),
                    std::to_string(info.level_histogram[level]),
                    percent(static_cast<double>(info.level_histogram[level]) /
                            static_cast<double>(internal == 0 ? 1 : internal))});

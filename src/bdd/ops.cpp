@@ -79,13 +79,11 @@ NodeId Manager::and_rec(NodeId f, NodeId g) {
   if (cache_get(kOpAnd, f, g, 0, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const VarIndex top = lf <= lg ? nf.var : ng.var;
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const NodeId lo = and_rec(flo, glo);
   const NodeId hi = and_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
@@ -102,13 +100,11 @@ NodeId Manager::or_rec(NodeId f, NodeId g) {
   if (cache_get(kOpOr, f, g, 0, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const VarIndex top = lf <= lg ? nf.var : ng.var;
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const NodeId lo = or_rec(flo, glo);
   const NodeId hi = or_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
@@ -127,13 +123,11 @@ NodeId Manager::xor_rec(NodeId f, NodeId g) {
   if (cache_get(kOpXor, f, g, 0, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const VarIndex top = lf <= lg ? nf.var : ng.var;
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const NodeId lo = xor_rec(flo, glo);
   const NodeId hi = xor_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
@@ -149,13 +143,11 @@ NodeId Manager::diff_rec(NodeId f, NodeId g) {
   if (cache_get(kOpDiff, f, g, 0, out)) return out;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const VarIndex top = lf <= lg ? nf.var : ng.var;
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const NodeId lo = diff_rec(flo, glo);
   const NodeId hi = diff_rec(fhi, ghi);
   const NodeId r = make_node(top, lo, hi);
@@ -190,10 +182,7 @@ NodeId Manager::ite_rec(NodeId f, NodeId g, NodeId h) {
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
   const Node nh = nodes_[h];
-  std::uint32_t top_level = node_level(nf.var);
-  VarIndex top = nf.var;
-  if (node_level(ng.var) < top_level) { top_level = node_level(ng.var); top = ng.var; }
-  if (node_level(nh.var) < top_level) { top_level = node_level(nh.var); top = nh.var; }
+  const VarIndex top = std::min({nf.var, ng.var, nh.var});
   const NodeId flo = nf.var == top ? nf.lo : f;
   const NodeId fhi = nf.var == top ? nf.hi : f;
   const NodeId glo = ng.var == top ? ng.lo : g;
@@ -223,12 +212,11 @@ bool Manager::leq_rec(NodeId f, NodeId g) {
   if (cache_get(kOpLeq, f, g, 0, out)) return out == kTrueId;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const bool r = leq_rec(flo, glo) && leq_rec(fhi, ghi);
   cache_put(kOpLeq, f, g, 0, r ? kTrueId : kFalseId);
   return r;
@@ -250,12 +238,11 @@ bool Manager::disjoint_rec(NodeId f, NodeId g) {
   if (cache_get(kOpDisjoint, f, g, 0, out)) return out == kTrueId;
   const Node nf = nodes_[f];
   const Node ng = nodes_[g];
-  const std::uint32_t lf = node_level(nf.var);
-  const std::uint32_t lg = node_level(ng.var);
-  const NodeId flo = lf <= lg ? nf.lo : f;
-  const NodeId fhi = lf <= lg ? nf.hi : f;
-  const NodeId glo = lg <= lf ? ng.lo : g;
-  const NodeId ghi = lg <= lf ? ng.hi : g;
+  const VarIndex top = std::min(nf.var, ng.var);
+  const NodeId flo = nf.var == top ? nf.lo : f;
+  const NodeId fhi = nf.var == top ? nf.hi : f;
+  const NodeId glo = ng.var == top ? ng.lo : g;
+  const NodeId ghi = ng.var == top ? ng.hi : g;
   const bool r = disjoint_rec(flo, glo) && disjoint_rec(fhi, ghi);
   cache_put(kOpDisjoint, f, g, 0, r ? kTrueId : kFalseId);
   return r;
@@ -299,7 +286,7 @@ NodeId Manager::exists_rec(NodeId f, NodeId cube) {
   // Skip quantified variables above f's top variable; they are not in f's
   // support, so quantifying them is the identity.
   while (cube != kTrueId &&
-         node_level(nodes_[cube].var) < node_level(nodes_[f].var)) {
+         nodes_[cube].var < nodes_[f].var) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return f;
@@ -321,7 +308,7 @@ NodeId Manager::exists_rec(NodeId f, NodeId cube) {
 NodeId Manager::forall_rec(NodeId f, NodeId cube) {
   if (f <= kTrueId) return f;
   while (cube != kTrueId &&
-         node_level(nodes_[cube].var) < node_level(nodes_[f].var)) {
+         nodes_[cube].var < nodes_[f].var) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return f;
@@ -344,11 +331,8 @@ NodeId Manager::and_exists_rec(NodeId f, NodeId g, NodeId cube) {
   if (f == kFalseId || g == kFalseId) return kFalseId;
   if (f == kTrueId && g == kTrueId) return kTrueId;
   if (f > g) std::swap(f, g);  // AND is commutative
-  const std::uint32_t lf = node_level(nodes_[f].var);
-  const std::uint32_t lg = node_level(nodes_[g].var);
-  const VarIndex top = lf <= lg ? nodes_[f].var : nodes_[g].var;
-  const std::uint32_t top_level = std::min(lf, lg);
-  while (cube != kTrueId && node_level(nodes_[cube].var) < top_level) {
+  const VarIndex top = std::min(nodes_[f].var, nodes_[g].var);
+  while (cube != kTrueId && nodes_[cube].var < top) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return and_rec(f, g);
@@ -383,14 +367,9 @@ NodeId Manager::and_exists3_rec(NodeId f, NodeId g, NodeId h, NodeId cube) {
   if (f > g) std::swap(f, g);
   if (f == kTrueId || f == g) return and_exists_rec(g, h, cube);
   if (g == h) return and_exists_rec(f, g, cube);
-  const std::uint32_t lf = node_level(nodes_[f].var);
-  const std::uint32_t lg = node_level(nodes_[g].var);
-  const std::uint32_t lh = node_level(nodes_[h].var);
-  const std::uint32_t top_level = std::min(lf, std::min(lg, lh));
-  const VarIndex top = lf == top_level   ? nodes_[f].var
-                       : lg == top_level ? nodes_[g].var
-                                         : nodes_[h].var;
-  while (cube != kTrueId && node_level(nodes_[cube].var) < top_level) {
+  const VarIndex top =
+      std::min({nodes_[f].var, nodes_[g].var, nodes_[h].var});
+  while (cube != kTrueId && nodes_[cube].var < top) {
     cube = nodes_[cube].hi;
   }
   if (cube == kTrueId) return and_rec(f, and_rec(g, h));
@@ -515,7 +494,7 @@ NodeId Manager::pick_rec(NodeId f, NodeId cube) {
   }
   const Node nc = nodes_[cube];
   const VarIndex v = nc.var;
-  if (f == kTrueId || node_level(nodes_[f].var) > node_level(v)) {
+  if (f == kTrueId || nodes_[f].var > v) {
     // f does not constrain v: fix v = 0 for determinism.
     const NodeId rest = pick_rec(f, nc.hi);
     return make_node(v, rest, kFalseId);
@@ -557,7 +536,7 @@ void Manager::foreach_minterm(
       glo = nodes_[g].lo;
       ghi = nodes_[g].hi;
     } else {
-      assert(g == kTrueId || node_level(nodes_[g].var) > node_level(v));
+      assert(g == kTrueId || nodes_[g].var > v);
     }
     values[d] = false;
     walk(glo, d + 1);

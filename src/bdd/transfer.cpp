@@ -16,9 +16,9 @@ Bdd import_rec(const Manager& src, NodeId id, Manager& dst,
   assert(n.var != kTerminalVar && "import_bdd: dangling source id");
   const Bdd lo = import_rec(src, n.lo, dst, memo);
   const Bdd hi = import_rec(src, n.hi, dst, memo);
-  // ite(v, hi, lo) recurses exactly once when the destination order places
-  // v above both cofactors' supports (true whenever dst mirrors src's
-  // order), landing on make_node(v, lo, hi) — an O(1) amortized rebuild.
+  // ite(v, hi, lo) recurses exactly once, since v sits above both
+  // cofactors' supports in every manager, landing on make_node(v, lo, hi) —
+  // an O(1) amortized rebuild.
   const Bdd out = dst.apply_ite(dst.bdd_var(n.var), hi, lo);
   memo.emplace(id, out);
   return out;

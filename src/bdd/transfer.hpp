@@ -3,9 +3,9 @@
 // Structural transfer of a BDD between managers.
 //
 // The intra-problem engine (symbolic/intra.*) gives each worker thread its
-// own Manager — the engine mirrors the main manager's variable order into
-// every worker, so a function has the *same* node structure in both (BDDs
-// are canonical). import_bdd copies that structure across: it walks the
+// own Manager with the main manager's variables (the order is fixed by
+// variable index), so a function has the *same* node structure in both
+// (BDDs are canonical). import_bdd copies that structure across: it walks the
 // source manager read-only through Manager::node_view and rebuilds each
 // node in the destination with one ITE on the node's variable, which
 // reduces in a single recursion step to the corresponding make_node. Cost
@@ -32,10 +32,9 @@ using ImportMemo = std::unordered_map<NodeId, Bdd>;
 
 /// Copies the function rooted at `root` (a node of `src`) into `dst`,
 /// returning the equivalent function there. Both managers must have the
-/// same variable count; the result is order-independent (semantic
-/// equality), but when the level orders match, the imported function also
-/// has identical node structure, which the intra engine relies on for
-/// deterministic worker-side decisions.
+/// same variable count. Because the order is fixed by variable index, the
+/// imported function has identical node structure, which the intra engine
+/// relies on for deterministic worker-side decisions.
 Bdd import_bdd(const Manager& src, NodeId root, Manager& dst,
                ImportMemo& memo);
 

@@ -104,21 +104,6 @@ bool Expr::is_boolean() const {
   }
 }
 
-void Expr::collect_vars(std::vector<sym::VarId>& out) const {
-  // Pre-order walk on an explicit stack (children pushed in reverse), so
-  // a left-deep chain costs no recursion.
-  std::vector<const Node*> stack;
-  if (node_ != nullptr) stack.push_back(node_.get());
-  while (!stack.empty()) {
-    const Node& n = *stack.back();
-    stack.pop_back();
-    if (n.kind == Kind::kVar) out.push_back(n.value);
-    for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
-      stack.push_back(it->node_.get());
-    }
-  }
-}
-
 const Expr& Expr::left_spine(const Expr& e, Kind kind,
                              std::vector<const Expr*>& rights) {
   const Expr* cur = &e;
@@ -159,18 +144,18 @@ std::string Expr::to_string_impl(const Node& n, const sym::Space* space) {
       return "!" + sub(n.children[0]);
     case Kind::kAnd:
     case Kind::kOr: {
-      // "((c0 op c1) op c2) ... op cn)" from the spine, not by recursion.
+      // One group "(c0 op c1 op ... op cn)" from the spine, not by
+      // recursion: the parser folds it back into the same left-deep tree,
+      // and a long chain costs one nesting level, not one per term.
       const char* op = n.kind == Kind::kAnd ? " && " : " || ";
       std::vector<const Expr*> rights{&n.children[1]};
       const Expr& first = left_spine(n.children[0], n.kind, rights);
-      std::string out(rights.size(), '(');
-      out += sub(first);
+      std::string out = "(" + sub(first);
       for (auto it = rights.rbegin(); it != rights.rend(); ++it) {
         out += op;
         out += sub(**it);
-        out += ')';
       }
-      return out;
+      return out + ")";
     }
     case Kind::kImplies:
       return "(!" + sub(n.children[0]) + " || " + sub(n.children[1]) + ")";

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "repair/journal.hpp"
-#include "repair/order_setup.hpp"
 #include "repair/relation_setup.hpp"
 #include "support/log.hpp"
 #include "support/metrics.hpp"
@@ -102,10 +101,6 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
     result.stats.peak_bdd_nodes =
         std::max(result.stats.peak_bdd_nodes, result.stats.bdd.peak_nodes);
   };
-  // Static order first, so every BDD below compiles under it (and the
-  // intra workers mirror it when enabled).
-  apply_order_options(program, options);
-
   if (options.journal != nullptr) {
     options.journal->begin_run(program, "cautious",
                                tolerance_level_name(options.level));

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "bdd/order.hpp"
 #include "support/fs.hpp"
 
 namespace lr::repair {
@@ -92,10 +91,6 @@ std::string export_model(prog::DistributedProgram& program,
                          const RepairResult& result) {
   sym::Space& space = program.space();
   bdd::Manager& mgr = space.manager();
-  // foreach_cube enumerates DAG cubes, which depend on the variable order:
-  // restore the creation order so exports are canonical no matter which
-  // --order mode the run used. Handles survive the swaps.
-  (void)bdd::order::restore_creation_order(mgr);
   std::ostringstream out;
 
   out << "// Synthesized by lazyrepair: masking fault-tolerant version of '"

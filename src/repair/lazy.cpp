@@ -4,7 +4,6 @@
 
 #include "repair/add_masking.hpp"
 #include "repair/journal.hpp"
-#include "repair/order_setup.hpp"
 #include "repair/realize.hpp"
 #include "repair/relation_setup.hpp"
 #include "support/log.hpp"
@@ -86,10 +85,6 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
   };
 
   throw_if_cancelled(options.cancel);
-
-  // Static order first: everything below (compilation, intra workers
-  // mirroring the main order) must see the chosen initial order.
-  apply_order_options(program, options);
 
   if (options.journal != nullptr) {
     options.journal->begin_run(program, "lazy",

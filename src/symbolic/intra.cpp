@@ -1,12 +1,11 @@
 #include "symbolic/intra.hpp"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
 #include "bdd/profile.hpp"
+#include "support/log.hpp"
 #include "support/trace.hpp"
 
 namespace lr::sym {
@@ -42,15 +41,10 @@ IntraEngine::IntraEngine(bdd::Manager& main, std::size_t jobs,
       swap_perm_(std::move(swap_perm)) {
   assert(jobs >= 1 && "IntraEngine: at least one pool thread");
   const std::uint32_t nvars = main_.var_count();
-  order_snapshot_.resize(nvars);
-  for (std::uint32_t level = 0; level < nvars; ++level) {
-    order_snapshot_[level] = main_.var_at_level(level);
-  }
   workers_.reserve(kContexts);
   for (std::size_t w = 0; w < kContexts; ++w) {
     auto worker = std::make_unique<Worker>(worker_manager_options());
     for (std::uint32_t v = 0; v < nvars; ++v) worker->mgr.new_var();
-    align_worker(*worker);
     worker->cube_cur = worker->mgr.make_cube(cur_bits_);
     worker->cube_next = worker->mgr.make_cube(next_bits_);
     worker->swap = worker->mgr.register_permutation(swap_perm_);
@@ -59,49 +53,16 @@ IntraEngine::IntraEngine(bdd::Manager& main, std::size_t jobs,
 }
 
 IntraEngine::~IntraEngine() {
-  if (std::getenv("LR_INTRA_DEBUG") == nullptr) return;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     const bdd::ManagerStats& st = workers_[w]->mgr.stats();
-    std::fprintf(stderr,
-                 "[intra] worker %zu: gc_runs=%llu live=%zu peak=%zu "
-                 "created=%llu lookups=%llu hits=%llu memo=%zu exp_memo=%zu\n",
-                 w, static_cast<unsigned long long>(st.gc_runs), st.live_nodes,
-                 st.peak_nodes, static_cast<unsigned long long>(st.created_nodes),
-                 static_cast<unsigned long long>(st.cache_lookups),
-                 static_cast<unsigned long long>(st.cache_hits),
-                 workers_[w]->memo.size(), workers_[w]->export_memo.size());
+    LR_LOG(debug) << "[intra] worker " << w << ": gc_runs=" << st.gc_runs
+                  << " live=" << st.live_nodes << " peak=" << st.peak_nodes
+                  << " created=" << st.created_nodes
+                  << " lookups=" << st.cache_lookups
+                  << " hits=" << st.cache_hits
+                  << " memo=" << workers_[w]->memo.size()
+                  << " exp_memo=" << workers_[w]->export_memo.size();
   }
-}
-
-void IntraEngine::align_worker(Worker& w) {
-  // Bubble each variable up to the main manager's level for it. Levels
-  // below the current one are already in place, so the target variable can
-  // only sit deeper; swap_adjacent_levels preserves the semantics of every
-  // live handle, so alignment is safe even mid-run.
-  const std::uint32_t nvars = main_.var_count();
-  for (std::uint32_t level = 0; level < nvars; ++level) {
-    const bdd::VarIndex target = main_.var_at_level(level);
-    std::uint32_t at = w.mgr.level_of(target);
-    assert(at >= level);
-    while (at > level) {
-      w.mgr.swap_adjacent_levels(at - 1);
-      --at;
-    }
-  }
-}
-
-void IntraEngine::sync_order() {
-  const std::uint32_t nvars = main_.var_count();
-  bool same = true;
-  for (std::uint32_t level = 0; level < nvars && same; ++level) {
-    same = order_snapshot_[level] == main_.var_at_level(level);
-  }
-  if (same) return;
-  for (std::uint32_t level = 0; level < nvars; ++level) {
-    order_snapshot_[level] = main_.var_at_level(level);
-  }
-  drop_pins();
-  for (auto& worker : workers_) align_worker(*worker);
 }
 
 void IntraEngine::drop_pins() {
@@ -120,7 +81,6 @@ bdd::NodeId IntraEngine::pin(const bdd::Bdd& f) {
 }
 
 void IntraEngine::run(const std::function<void(std::size_t, Worker&)>& fn) {
-  sync_order();
   // Workers charge their BDD work to the *full* span path that dispatched
   // them, so the profiler's call-path tree reads the same as in a
   // sequential run. Span names are string literals — safe to hand across
@@ -177,7 +137,6 @@ bdd::Bdd IntraEngine::export_to_main(std::size_t w, const bdd::Bdd& f) {
 bdd::Bdd IntraEngine::image(std::span<const bdd::Bdd> pieces,
                             const bdd::Bdd& from) {
   if (pinned_.size() > kMaxPins) drop_pins();
-  sync_order();
   std::vector<bdd::NodeId> piece_ids;
   piece_ids.reserve(pieces.size());
   for (const bdd::Bdd& piece : pieces) piece_ids.push_back(pin(piece));
@@ -209,7 +168,6 @@ bdd::Bdd IntraEngine::image(std::span<const bdd::Bdd> pieces,
 bdd::Bdd IntraEngine::preimage(std::span<const bdd::Bdd> pieces,
                                const bdd::Bdd& to_primed) {
   if (pinned_.size() > kMaxPins) drop_pins();
-  sync_order();
   std::vector<bdd::NodeId> piece_ids;
   piece_ids.reserve(pieces.size());
   for (const bdd::Bdd& piece : pieces) piece_ids.push_back(pin(piece));
@@ -249,7 +207,6 @@ struct PieceIds {
 bdd::Bdd IntraEngine::image(std::span<const ScheduledPiece> pieces,
                             const bdd::Bdd& from) {
   if (pinned_.size() > kMaxPins) drop_pins();
-  sync_order();
   std::vector<PieceIds> ids;
   ids.reserve(pieces.size());
   for (const ScheduledPiece& piece : pieces) {
@@ -293,7 +250,6 @@ bdd::Bdd IntraEngine::image(std::span<const ScheduledPiece> pieces,
 bdd::Bdd IntraEngine::preimage(std::span<const ScheduledPiece> pieces,
                                const bdd::Bdd& to_primed) {
   if (pinned_.size() > kMaxPins) drop_pins();
-  sync_order();
   std::vector<PieceIds> ids;
   ids.reserve(pieces.size());
   for (const ScheduledPiece& piece : pieces) {

@@ -1,15 +1,15 @@
 #pragma once
 
 // Intra-problem work sharding: one persistent worker pool whose threads
-// each own a private bdd::Manager mirroring the main manager's variable
-// order. The engine shards partitioned image/preimage computation (and any
+// each own a private bdd::Manager with the main manager's variables. The
+// engine shards partitioned image/preimage computation (and any
 // caller-supplied per-item work, e.g. realize's per-process group
 // enumeration) across the workers and reduces the partial results back
 // into the main manager in a fixed partition order.
 //
-// Determinism: BDDs are canonical, so a worker whose manager has the same
-// variable *level order* as the main manager computes bit-identical node
-// structures for the same functions — pick_minterm, leq, exists, all
+// Determinism: BDDs are canonical and every manager orders its variables
+// by index, so a worker computes bit-identical node structures for the
+// same functions as the main manager — pick_minterm, leq, exists, all
 // decide identically to the sequential path. The reduction therefore
 // yields the exact BDD the sequential loop would, and worker-side
 // accept/reject decisions match the sequential ones one-for-one.
@@ -41,8 +41,8 @@ namespace lr::sym {
 
 class IntraEngine {
  public:
-  /// One worker thread's private state. `mgr` mirrors the main manager's
-  /// variable count and level order; `memo` caches main->worker imports
+  /// One worker thread's private state. `mgr` has the main manager's
+  /// variable count; `memo` caches main->worker imports
   /// (valid while the engine's pin set is intact).
   struct Worker {
     explicit Worker(const bdd::Manager::Options& options) : mgr(options) {}
@@ -157,11 +157,6 @@ class IntraEngine {
   static constexpr std::size_t kSplitThreshold = 256;
 
  private:
-  /// Re-checks that every worker's level order still matches the main
-  /// manager's (levels may have been swapped since); realigns and drops
-  /// memos when it does not.
-  void sync_order();
-  void align_worker(Worker& w);
   void drop_pins();
 
   bdd::Manager& main_;
@@ -171,7 +166,6 @@ class IntraEngine {
   std::vector<bdd::VarIndex> cur_bits_;
   std::vector<bdd::VarIndex> next_bits_;
   std::vector<bdd::VarIndex> swap_perm_;
-  std::vector<bdd::VarIndex> order_snapshot_;  // main level -> var
   std::unordered_map<bdd::NodeId, bdd::Bdd> pinned_;
   std::unordered_map<bdd::NodeId, std::vector<bdd::Bdd>> split_cache_;
 };

@@ -19,9 +19,9 @@
 // because R is independent of cur\S. The supports are computed from the
 // *compiled* BDDs (bdd::Manager::support), not from parsed declarations,
 // so the schedule stays exact for algorithm-built parts (e.g. a process
-// delta minus a banned-transition set). The parsed structure
-// (order_heur's support analysis) guides how the repair layer *groups*
-// actions into parts; the cubes themselves never over-approximate.
+// delta minus a banned-transition set). The program's process and fault
+// structure guides how the repair layer *groups* actions into parts; the
+// cubes themselves never over-approximate.
 //
 // Representation modes: a relation is built either `scheduled` (the
 // partitioned representation above) or flat (mono) — the exact pre-refactor

@@ -502,26 +502,15 @@ void Space::foreach_state(
   freeze();
   const bdd::Bdd constrained = set & valid_cur_;
   std::vector<std::uint32_t> values(vars_.size());
-  // foreach_minterm presents the cube's variables in *level* order, which
-  // is declaration order only until someone reorders; build the decode
-  // table from the current levels.
-  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> order;
-  order.reserve(bits_per_state_);
-  for (std::uint32_t v = 0; v < vars_.size(); ++v) {
-    for (std::uint32_t b = 0; b < vars_[v].bits; ++b) {
-      order.push_back({mgr_.level_of(vars_[v].cur_bits[b]), v, b});
-    }
-  }
-  std::sort(order.begin(), order.end());
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> decode;
-  decode.reserve(order.size());
-  for (const auto& [level, v, b] : order) decode.push_back({v, b});
+  // foreach_minterm presents the cube's variables in order, which is
+  // declaration order: variable by variable, bit 0 first.
   mgr_.foreach_minterm(constrained, cube_cur_,
                        [&](std::span<const bool> bits) {
-                         std::fill(values.begin(), values.end(), 0u);
-                         for (std::size_t i = 0; i < bits.size(); ++i) {
-                           if (bits[i]) {
-                             values[decode[i].first] |= 1u << decode[i].second;
+                         std::size_t i = 0;
+                         for (std::uint32_t v = 0; v < vars_.size(); ++v) {
+                           values[v] = 0;
+                           for (std::uint32_t b = 0; b < vars_[v].bits; ++b) {
+                             if (bits[i++]) values[v] |= 1u << b;
                            }
                          }
                          fn(values);
@@ -537,30 +526,18 @@ void Space::foreach_transition(
   const bdd::Bdd both = cube_cur_ & cube_next_;
   std::vector<std::uint32_t> from(vars_.size());
   std::vector<std::uint32_t> to(vars_.size());
-  // Decode table in *level* order (see foreach_state).
-  std::vector<std::tuple<std::uint32_t, bool, std::uint32_t, std::uint32_t>>
-      order;
-  order.reserve(2 * bits_per_state_);
-  for (std::uint32_t v = 0; v < vars_.size(); ++v) {
-    for (std::uint32_t b = 0; b < vars_[v].bits; ++b) {
-      order.push_back({mgr_.level_of(vars_[v].cur_bits[b]), false, v, b});
-      order.push_back({mgr_.level_of(vars_[v].next_bits[b]), true, v, b});
-    }
-  }
-  std::sort(order.begin(), order.end());
-  std::vector<std::tuple<bool, std::uint32_t, std::uint32_t>> decode;
-  decode.reserve(order.size());
-  for (const auto& [level, is_next, v, b] : order) {
-    decode.push_back({is_next, v, b});
-  }
+  // Declaration order interleaves each bit's current and next copies
+  // (see foreach_state).
   mgr_.foreach_minterm(
       constrained, both, [&](std::span<const bool> bits) {
-        std::fill(from.begin(), from.end(), 0u);
-        std::fill(to.begin(), to.end(), 0u);
-        for (std::size_t i = 0; i < bits.size(); ++i) {
-          if (!bits[i]) continue;
-          const auto& [is_next, v, b] = decode[i];
-          (is_next ? to : from)[v] |= 1u << b;
+        std::size_t i = 0;
+        for (std::uint32_t v = 0; v < vars_.size(); ++v) {
+          from[v] = 0;
+          to[v] = 0;
+          for (std::uint32_t b = 0; b < vars_[v].bits; ++b) {
+            if (bits[i++]) from[v] |= 1u << b;
+            if (bits[i++]) to[v] |= 1u << b;
+          }
         }
         fn(from, to);
       });

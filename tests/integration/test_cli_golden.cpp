@@ -231,6 +231,27 @@ TEST(CliGoldenTest_Help, HelpListsEveryFlagAndExitsZero) {
   EXPECT_EQ(unknown.exit_code, 2) << "unknown flags must be rejected";
 }
 
+TEST(CliOrderTest, BadOrderArgumentsExitTwo) {
+  // The BDD order is fixed to variable creation order, so --order and
+  // --order-out are retired: every form of them is an unknown flag (exit 2),
+  // never a silently ignored one.
+  for (const char* retired :
+       {"--order=auto", "--order=sideways", "--order=file:",
+        "--order=file:/no/such/profile.json", "--order-out=x.json"}) {
+    EXPECT_EQ(run_cli(std::string("--chain=3 ") + retired).exit_code, 2)
+        << retired << " must be rejected";
+  }
+}
+
+TEST(CliGoldenTest_Help, HelpMarkdownPrintsTheFlagTable) {
+  const CliRun run = run_cli("--help-markdown");
+  ASSERT_EQ(run.exit_code, 0);
+  EXPECT_EQ(run.output.rfind("# `repair_cli` flag reference", 0), 0u);
+  EXPECT_NE(run.output.find("| `--rel` |"), std::string::npos);
+  EXPECT_EQ(run.output.find("| `--order` |"), std::string::npos);
+  EXPECT_EQ(run.output.find("| `--order-out` |"), std::string::npos);
+}
+
 TEST(CliGoldenTest_Progress, HeartbeatsNeverTouchStdout) {
   // A torture interval makes every fixpoint round emit; all of it must go
   // to stderr, leaving batch stdout byte-identical to a silent run.

@@ -50,6 +50,37 @@ bad_state x == 2;
   round_trip(*p);
 }
 
+TEST(ExportTest, LongFlatChainRoundTrips) {
+  // One left-deep `&&` spine of 300 terms: exported as a single group, not
+  // one parenthesis per term, so the re-parse stays under the parser's
+  // 256-level nesting bound.
+  std::string chain = "x != 2";
+  for (int i = 1; i < 300; ++i) chain += " && x != 2";
+  auto p = lang::parse_program(R"(
+program quickstart;
+var x : 0..2;
+process worker {
+  reads x;
+  writes x;
+  action reset: x == 1 -> x := 0;
+}
+fault glitch: x == 0 -> x := 1;
+invariant x == 0 && ()" + chain + R"();
+bad_state x == 2;
+)");
+  const RepairResult result = lazy_repair(*p);
+  ASSERT_TRUE(result.success) << result.failure_reason;
+  const std::string exported = export_model(*p, result);
+
+  auto reparsed = lang::parse_program(exported);
+  const RepairResult again = lazy_repair(*reparsed);
+  ASSERT_TRUE(again.success) << again.failure_reason;
+  EXPECT_EQ(reparsed->space().count_states(again.invariant),
+            p->space().count_states(result.invariant));
+  EXPECT_EQ(reparsed->space().count_states(again.fault_span),
+            p->space().count_states(result.fault_span));
+}
+
 TEST(ExportTest, ChainRoundTrip) {
   auto p = cs::make_chain({.length = 3, .domain = 2});
   round_trip(*p);

@@ -127,7 +127,7 @@ TEST(ManifestTest, FingerprintCoversEveryOutcomeRelevantOption) {
   Options base;
   const std::string fp = options_fingerprint(base, false, true);
   EXPECT_EQ(fp, "lazy|paperloop|masking|heuristic=1|expand=1|"
-                "order=decl|maxouter=64|verify=1");
+                "maxouter=64|verify=1");
   EXPECT_NE(fp, options_fingerprint(base, true, true));   // algorithm
   EXPECT_NE(fp, options_fingerprint(base, false, false)); // verify
   Options changed = base;
@@ -145,18 +145,6 @@ TEST(ManifestTest, FingerprintCoversEveryOutcomeRelevantOption) {
   changed = base;
   changed.max_outer_iterations = 7;
   EXPECT_NE(fp, options_fingerprint(changed, false, true));
-  changed = base;
-  changed.order_mode = sym::order::Mode::kAdjacency;
-  EXPECT_NE(fp, options_fingerprint(changed, false, true));
-  // Two different warm-start profiles are two different orders: the path
-  // must be part of a kFile fingerprint.
-  changed = base;
-  changed.order_mode = sym::order::Mode::kFile;
-  changed.order_file = "a.order.json";
-  Options other_file = changed;
-  other_file.order_file = "b.order.json";
-  EXPECT_NE(options_fingerprint(changed, false, true),
-            options_fingerprint(other_file, false, true));
   // Cancellation settings bound *when* a result exists, not *what* it is.
   changed = base;
   changed.cancel = CancelToken::with_timeout(1.0);

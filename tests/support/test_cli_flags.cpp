@@ -169,6 +169,9 @@ TEST(CliFlagsTest, BenchBatchTablesHelpPrintsUsageAndExitsZero) {
 TEST(CliFlagsTest, BenchBatchTablesRejectsUnknownFlags) {
   EXPECT_EQ(run_bench_batch_tables("--jbos=2").exit_code, 2);
   EXPECT_EQ(run_bench_batch_tables("--table=3 --sift").exit_code, 2);
+  EXPECT_EQ(run_bench_batch_tables("--table=3 --order=auto").exit_code, 2);
+  EXPECT_EQ(run_bench_batch_tables("--table=3 --order-out=x.json").exit_code,
+            2);
   EXPECT_EQ(run_bench_batch_tables("stray-argument").exit_code, 2);
 }
 
