@@ -1,6 +1,8 @@
 #include "lang/expr.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace lr::lang {
 
@@ -8,6 +10,24 @@ namespace {
 
 [[noreturn]] void type_error(const std::string& what) {
   throw std::invalid_argument("Expr: " + what);
+}
+
+bool additive(Expr::Kind kind) {
+  return kind == Expr::Kind::kAdd || kind == Expr::Kind::kSub;
+}
+
+/// The infix operator of a chain link, as the parser reads it back.
+const char* chain_op(Expr::Kind kind) {
+  switch (kind) {
+    case Expr::Kind::kAnd:
+      return " && ";
+    case Expr::Kind::kOr:
+      return " || ";
+    case Expr::Kind::kAdd:
+      return " + ";
+    default:
+      return " - ";
+  }
 }
 
 }  // namespace
@@ -105,12 +125,11 @@ bool Expr::is_boolean() const {
 }
 
 const Expr& Expr::left_spine(const Expr& e, Kind kind,
-                             std::vector<const Expr*>& rights) {
+                             std::vector<const Node*>& spine) {
   const Expr* cur = &e;
-  while (cur->kind() == kind) {
-    const std::vector<Expr>& kids = cur->node_->children;
-    rights.push_back(&kids[1]);
-    cur = &kids[0];
+  while (cur->kind() == kind || (additive(kind) && additive(cur->kind()))) {
+    spine.push_back(cur->node_.get());
+    cur = &cur->node_->children[0];
   }
   return *cur;
 }
@@ -143,17 +162,18 @@ std::string Expr::to_string_impl(const Node& n, const sym::Space* space) {
     case Kind::kNot:
       return "!" + sub(n.children[0]);
     case Kind::kAnd:
-    case Kind::kOr: {
-      // One group "(c0 op c1 op ... op cn)" from the spine, not by
+    case Kind::kOr:
+    case Kind::kAdd:
+    case Kind::kSub: {
+      // One group "(c0 op1 c1 ... opn cn)" from the spine, not by
       // recursion: the parser folds it back into the same left-deep tree,
       // and a long chain costs one nesting level, not one per term.
-      const char* op = n.kind == Kind::kAnd ? " && " : " || ";
-      std::vector<const Expr*> rights{&n.children[1]};
-      const Expr& first = left_spine(n.children[0], n.kind, rights);
+      std::vector<const Node*> spine{&n};
+      const Expr& first = left_spine(n.children[0], n.kind, spine);
       std::string out = "(" + sub(first);
-      for (auto it = rights.rbegin(); it != rights.rend(); ++it) {
-        out += op;
-        out += sub(**it);
+      for (auto it = spine.rbegin(); it != spine.rend(); ++it) {
+        out += chain_op((*it)->kind);
+        out += sub((*it)->children[1]);
       }
       return out + ")";
     }
@@ -173,10 +193,6 @@ std::string Expr::to_string_impl(const Node& n, const sym::Space* space) {
       return binary(">");
     case Kind::kGe:
       return binary(">=");
-    case Kind::kAdd:
-      return binary("+");
-    case Kind::kSub:
-      return binary("-");
     case Kind::kIte:
       return "ite(" + sub(n.children[0]) + ", " + sub(n.children[1]) + ", " +
              sub(n.children[2]) + ")";
@@ -226,11 +242,13 @@ bdd::Bdd Compiler::compile_bool(const Expr& e) {
       // `compile(lhs) & compile(rhs)` it replaces, whose operands g++
       // evaluated right first: cn ... c1, then c0, then the left fold
       // (c0 op c1) op c2 ..., each operand released once folded in.
-      std::vector<const Expr*> rights;
-      const Expr& first = Expr::left_spine(e, n.kind, rights);
+      std::vector<const Expr::Node*> spine;
+      const Expr& first = Expr::left_spine(e, n.kind, spine);
       std::vector<bdd::Bdd> operands;
-      operands.reserve(rights.size());
-      for (const Expr* right : rights) operands.push_back(compile_bool(*right));
+      operands.reserve(spine.size());
+      for (const Expr::Node* link : spine) {
+        operands.push_back(compile_bool(link->children[1]));
+      }
       bdd::Bdd acc = compile_bool(first);
       for (auto it = operands.rbegin(); it != operands.rend(); ++it) {
         acc = n.kind == Expr::Kind::kAnd ? acc & *it : acc | *it;
@@ -243,23 +261,23 @@ bdd::Bdd Compiler::compile_bool(const Expr& e) {
     case Expr::Kind::kIff:
       return compile_bool(n.children[0]).iff(compile_bool(n.children[1]));
     case Expr::Kind::kEq:
-      return bits_eq(compile_bits(n.children[0]),
-                     compile_bits(n.children[1]));
+      return bits_eq(compile_num(n.children[0]).bits,
+                     compile_num(n.children[1]).bits);
     case Expr::Kind::kNe:
-      return ~bits_eq(compile_bits(n.children[0]),
-                      compile_bits(n.children[1]));
+      return ~bits_eq(compile_num(n.children[0]).bits,
+                      compile_num(n.children[1]).bits);
     case Expr::Kind::kLt:
-      return bits_lt(compile_bits(n.children[0]),
-                     compile_bits(n.children[1]));
+      return bits_lt(compile_num(n.children[0]).bits,
+                     compile_num(n.children[1]).bits);
     case Expr::Kind::kLe:
-      return ~bits_lt(compile_bits(n.children[1]),
-                      compile_bits(n.children[0]));
+      return ~bits_lt(compile_num(n.children[1]).bits,
+                      compile_num(n.children[0]).bits);
     case Expr::Kind::kGt:
-      return bits_lt(compile_bits(n.children[1]),
-                     compile_bits(n.children[0]));
+      return bits_lt(compile_num(n.children[1]).bits,
+                     compile_num(n.children[0]).bits);
     case Expr::Kind::kGe:
-      return ~bits_lt(compile_bits(n.children[0]),
-                      compile_bits(n.children[1]));
+      return ~bits_lt(compile_num(n.children[0]).bits,
+                      compile_num(n.children[1]).bits);
     default:
       throw std::invalid_argument(
           "Compiler::compile_bool: numeric expression used as boolean: " +
@@ -268,80 +286,127 @@ bdd::Bdd Compiler::compile_bool(const Expr& e) {
 }
 
 std::vector<bdd::Bdd> Compiler::compile_bits(const Expr& e) {
+  Num num = compile_num(e);
+  num.bits.resize(num.width, space_.manager().bdd_false());
+  return std::move(num.bits);
+}
+
+namespace {
+
+/// Drops trailing constant-false bits (they are implied by the width).
+void trim(std::vector<bdd::Bdd>& bits) {
+  while (!bits.empty() && bits.back().is_false()) bits.pop_back();
+}
+
+/// Bit i of `bits`, zero-extended.
+bdd::Bdd bit(const std::vector<bdd::Bdd>& bits, std::size_t i,
+             bdd::Manager& mgr) {
+  return i < bits.size() ? bits[i] : mgr.bdd_false();
+}
+
+}  // namespace
+
+Compiler::Num Compiler::compile_num(const Expr& e) {
   const auto& n = e.node();
   bdd::Manager& mgr = space_.manager();
+  Num out;
   switch (n.kind) {
     case Expr::Kind::kIntConst: {
-      std::vector<bdd::Bdd> bits;
       std::uint32_t v = n.value;
       do {
-        bits.push_back((v & 1u) != 0 ? mgr.bdd_true() : mgr.bdd_false());
+        out.bits.push_back((v & 1u) != 0 ? mgr.bdd_true() : mgr.bdd_false());
         v >>= 1;
       } while (v != 0);
-      return bits;
+      out.width = out.bits.size();
+      break;
     }
     case Expr::Kind::kVar: {
       const sym::VariableInfo& info = space_.info(n.value);
       const auto& vbits = n.version == sym::Version::kCurrent
                               ? info.cur_bits
                               : info.next_bits;
-      std::vector<bdd::Bdd> bits;
-      bits.reserve(vbits.size());
-      for (const bdd::VarIndex b : vbits) bits.push_back(mgr.bdd_var(b));
-      return bits;
+      out.bits.reserve(vbits.size());
+      for (const bdd::VarIndex b : vbits) out.bits.push_back(mgr.bdd_var(b));
+      out.width = out.bits.size();
+      break;
     }
-    case Expr::Kind::kAdd: {
-      const auto a = compile_bits(n.children[0]);
-      const auto b = compile_bits(n.children[1]);
-      const std::size_t width = std::max(a.size(), b.size());
-      std::vector<bdd::Bdd> sum;
-      sum.reserve(width + 1);
-      bdd::Bdd carry = mgr.bdd_false();
-      for (std::size_t i = 0; i < width; ++i) {
-        const bdd::Bdd ai = i < a.size() ? a[i] : mgr.bdd_false();
-        const bdd::Bdd bi = i < b.size() ? b[i] : mgr.bdd_false();
-        sum.push_back(ai ^ bi ^ carry);
-        carry = (ai & bi) | (carry & (ai ^ bi));
-      }
-      sum.push_back(carry);  // extra bit: no silent wraparound
-      return sum;
-    }
+    case Expr::Kind::kAdd:
     case Expr::Kind::kSub: {
-      // a - b via two's complement within max(width)+1 bits; callers use it
-      // for comparisons/decrements where the result is known non-negative.
-      const auto a = compile_bits(n.children[0]);
-      const auto b = compile_bits(n.children[1]);
-      const std::size_t width = std::max(a.size(), b.size()) + 1;
-      std::vector<bdd::Bdd> diff;
-      diff.reserve(width);
-      bdd::Bdd borrow = mgr.bdd_false();
-      for (std::size_t i = 0; i < width; ++i) {
-        const bdd::Bdd ai = i < a.size() ? a[i] : mgr.bdd_false();
-        const bdd::Bdd bi = i < b.size() ? b[i] : mgr.bdd_false();
-        diff.push_back(ai ^ bi ^ borrow);
-        borrow = ((~ai) & (bi | borrow)) | (bi & borrow);
+      // A left-deep `+`/`-` chain is compiled without recursion but in the
+      // op order (and with the handle lifetimes) of the recursive
+      // `a = compile(lhs); b = compile(rhs); a op b` it replaces: c0, c1,
+      // then op1, c2, op2, ..., each operand released once folded in.
+      std::vector<const Expr::Node*> spine;
+      const Expr& first = Expr::left_spine(e, n.kind, spine);
+      out = compile_num(first);
+      for (auto it = spine.rbegin(); it != spine.rend(); ++it) {
+        const Num rhs = compile_num((*it)->children[1]);
+        out = (*it)->kind == Expr::Kind::kAdd ? add(out, rhs)
+                                              : subtract(out, rhs);
       }
-      return diff;
+      return out;
     }
     case Expr::Kind::kIte: {
       const bdd::Bdd cond = compile_bool(n.children[0]);
-      const auto a = compile_bits(n.children[1]);
-      const auto b = compile_bits(n.children[2]);
-      const std::size_t width = std::max(a.size(), b.size());
-      std::vector<bdd::Bdd> out;
-      out.reserve(width);
-      for (std::size_t i = 0; i < width; ++i) {
-        const bdd::Bdd ai = i < a.size() ? a[i] : mgr.bdd_false();
-        const bdd::Bdd bi = i < b.size() ? b[i] : mgr.bdd_false();
-        out.push_back(cond.ite(ai, bi));
+      const Num a = compile_num(n.children[1]);
+      const Num b = compile_num(n.children[2]);
+      const std::size_t explicit_bits = std::max(a.bits.size(), b.bits.size());
+      out.bits.reserve(explicit_bits);
+      for (std::size_t i = 0; i < explicit_bits; ++i) {
+        out.bits.push_back(cond.ite(bit(a.bits, i, mgr), bit(b.bits, i, mgr)));
       }
-      return out;
+      out.width = std::max(a.width, b.width);
+      break;
     }
     default:
       throw std::invalid_argument(
           "Compiler::compile_bits: boolean expression used as numeric: " +
           e.to_string());
   }
+  trim(out.bits);
+  return out;
+}
+
+Compiler::Num Compiler::add(const Num& a, const Num& b) {
+  // Ripple-carry over the explicit bits. Above them both operands are 0,
+  // so the carry lands in the next bit and everything higher is 0.
+  bdd::Manager& mgr = space_.manager();
+  const std::size_t explicit_bits = std::max(a.bits.size(), b.bits.size());
+  Num sum;
+  sum.bits.reserve(explicit_bits + 1);
+  bdd::Bdd carry = mgr.bdd_false();
+  for (std::size_t i = 0; i < explicit_bits; ++i) {
+    const bdd::Bdd ai = bit(a.bits, i, mgr);
+    const bdd::Bdd bi = bit(b.bits, i, mgr);
+    sum.bits.push_back(ai ^ bi ^ carry);
+    carry = (ai & bi) | (carry & (ai ^ bi));
+  }
+  sum.bits.push_back(carry);
+  sum.width = std::max(a.width, b.width) + 1;  // extra bit: no wraparound
+  trim(sum.bits);
+  return sum;
+}
+
+Compiler::Num Compiler::subtract(const Num& a, const Num& b) {
+  // a - b via two's complement within max(width)+1 bits; callers use it
+  // for comparisons/decrements where the result is known non-negative.
+  bdd::Manager& mgr = space_.manager();
+  const std::size_t explicit_bits = std::max(a.bits.size(), b.bits.size());
+  Num diff;
+  diff.width = std::max(a.width, b.width) + 1;
+  diff.bits.reserve(explicit_bits + 1);
+  bdd::Bdd borrow = mgr.bdd_false();
+  for (std::size_t i = 0; i < explicit_bits; ++i) {
+    const bdd::Bdd ai = bit(a.bits, i, mgr);
+    const bdd::Bdd bi = bit(b.bits, i, mgr);
+    diff.bits.push_back(ai ^ bi ^ borrow);
+    borrow = ((~ai) & (bi | borrow)) | (bi & borrow);
+  }
+  // Above the explicit bits both operands are 0: every remaining bit of
+  // the width is the final borrow.
+  if (!borrow.is_false()) diff.bits.resize(diff.width, borrow);
+  trim(diff.bits);
+  return diff;
 }
 
 bdd::Bdd Compiler::bits_eq(const std::vector<bdd::Bdd>& a,

@@ -115,12 +115,15 @@ class Expr {
   [[nodiscard]] static Expr make(Kind kind, std::vector<Expr> children);
   [[nodiscard]] static std::string to_string_impl(const Node& n,
                                                   const sym::Space* space);
-  /// Walks the left spine of a left-deep `kind` chain
-  /// `((c0 op c1) op c2) ... op cn` rooted at `e` without recursion:
-  /// appends cn ... c1 (top down) to `rights` and returns c0. Parsed `&&`
-  /// and `||` chains are left-deep and may be 200,000 terms long.
+  /// Walks the left spine of a left-deep chain
+  /// `((c0 op1 c1) op2 c2) ... opn cn` rooted at `e` without recursion:
+  /// appends the chain's nodes top down (opn first; node k's children[1]
+  /// is ck) to `spine` and returns c0. Every op is `kind`, except that
+  /// `+` and `-` mix in one chain (one precedence level, left
+  /// associative). Parsed `&&`, `||` and `+`/`-` chains are left-deep and
+  /// may be 200,000 terms long.
   [[nodiscard]] static const Expr& left_spine(const Expr& e, Kind kind,
-                                              std::vector<const Expr*>& rights);
+                                              std::vector<const Node*>& spine);
   [[nodiscard]] const Node& node() const;
 
   std::shared_ptr<const Node> node_;
@@ -144,6 +147,21 @@ class Compiler {
   [[nodiscard]] std::vector<bdd::Bdd> compile_bits(const Expr& e);
 
  private:
+  /// A numeric value under compilation: `bits` (LSB first, without
+  /// trailing constant-false bits) zero-extended to `width` bits. Keeping
+  /// the zero tail implicit is what makes a chain whose every step widens
+  /// the value by one bit (`0 + 0 + ... + 0`) linear instead of quadratic;
+  /// the tail only ever fed constant-only ops, which never reach the op
+  /// cache. `width` is the explicit vector's length and decides where
+  /// subtraction wraps.
+  struct Num {
+    std::vector<bdd::Bdd> bits;
+    std::size_t width = 0;
+  };
+
+  [[nodiscard]] Num compile_num(const Expr& e);
+  [[nodiscard]] Num add(const Num& a, const Num& b);
+  [[nodiscard]] Num subtract(const Num& a, const Num& b);
   [[nodiscard]] bdd::Bdd bits_eq(const std::vector<bdd::Bdd>& a,
                                  const std::vector<bdd::Bdd>& b);
   [[nodiscard]] bdd::Bdd bits_lt(const std::vector<bdd::Bdd>& a,

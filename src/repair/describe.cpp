@@ -114,6 +114,7 @@ std::vector<std::string> describe_stats(const Stats& stats) {
   line("outer iterations", count(stats.outer_iterations));
   line("add-masking rounds", count(stats.addmasking_rounds));
   line("group iterations", count(stats.group_iterations));
+  line("closure rejects", count(stats.closure_rejects));
   line("expand accepts", count(stats.expand_successes));
   line("expand rejects", count(stats.expand_failures));
   line("recovery layers", count(stats.recovery_layers));

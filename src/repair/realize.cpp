@@ -1,6 +1,8 @@
 #include "repair/realize.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
 #include <unordered_set>
 #include <utility>
 
@@ -12,6 +14,30 @@
 namespace lr::repair {
 
 namespace {
+
+/// Bits of process j's readable variables, current and next copies. A
+/// group of j is one assignment to exactly these bits (see count_groups).
+std::uint32_t readable_bits(const sym::Space& space,
+                            const prog::Process& proc) {
+  const std::unordered_set<sym::VarId> reads(proc.reads.begin(),
+                                             proc.reads.end());
+  std::uint32_t bits = 0;
+  for (const sym::VarId v : reads) bits += 2 * space.info(v).bits;
+  return bits;
+}
+
+/// Number of process-j groups that meet `delta` (write-respecting, hence
+/// inside same_unreadable(j)): groups are the classes of the readable
+/// projection, so project the unreadable bits away and count the readable
+/// assignments that remain. Equals |group_j(delta)| divided by the members
+/// per group (the product of the unreadable domains) without building the
+/// group.
+std::size_t count_groups(bdd::Manager& m, const bdd::Bdd& delta,
+                         const bdd::Bdd& unreadable_cube,
+                         std::uint32_t readable) {
+  return static_cast<std::size_t>(
+      std::llround(m.sat_count(m.exists(delta, unreadable_cube), readable)));
+}
 
 /// A journal event decided on a worker thread, buffered as worker-manager
 /// handles and replayed on the main thread in canonical process order so
@@ -29,6 +55,7 @@ struct ProcessOutcome {
   bdd::Bdd accepted;  // worker-manager handle
   std::vector<PendingEvent> events;
   std::size_t iterations = 0;
+  std::size_t closure_rejects = 0;
   std::size_t expand_successes = 0;
   std::size_t expand_failures = 0;
 };
@@ -38,6 +65,7 @@ struct ProcessInputs {
   bdd::NodeId respects_write = 0;
   bdd::NodeId same_unreadable = 0;
   bdd::NodeId unreadable_cube = 0;
+  std::uint32_t readable_bits = 0;
   /// (cube_pair_of({v}), unchanged(v)) per expandable variable, in the
   /// sequential path's iteration order (R_j − W_j, reads order).
   std::vector<std::pair<bdd::NodeId, bdd::NodeId>> expand;
@@ -66,6 +94,7 @@ std::vector<bdd::Bdd> realize_parallel(
     inputs[j].respects_write = engine.pin(program.respects_write(j));
     inputs[j].same_unreadable = engine.pin(program.same_unreadable(j));
     inputs[j].unreadable_cube = engine.pin(program.unreadable_cube(j));
+    inputs[j].readable_bits = readable_bits(space, program.process(j));
     if (options.group_method == GroupMethod::kPaperLoop &&
         options.use_expand_group) {
       const prog::Process& proc = program.process(j);
@@ -100,11 +129,10 @@ std::vector<bdd::Bdd> realize_parallel(
           w_proper & engine.import(w, inputs[j].respects_write);
       bdd::Bdd accepted = m.bdd_false();
       throw_if_cancelled(options.cancel);
+      const bdd::Bdd member_shape = w_same & w_valid_pair;
+      const bdd::Bdd closed =
+          pool & member_shape & m.forall(member_shape.implies(pool), w_ucube);
       if (options.group_method == GroupMethod::kOneShot) {
-        const bdd::Bdd member_shape = w_same & w_valid_pair;
-        const bdd::Bdd closed =
-            pool & member_shape &
-            m.forall(member_shape.implies(pool), w_ucube);
         accepted = group_of(closed & w_tol);
         if (journaling) {
           out.events.push_back({PendingEvent::kAccepted, nullptr, accepted,
@@ -119,21 +147,30 @@ std::vector<bdd::Bdd> realize_parallel(
           expand.emplace_back(engine.import(w, cube_id),
                               engine.import(w, unchanged_id));
         }
+        // Closure first, exactly as the sequential loop below.
         bdd::Bdd worklist = pool & w_tol;
+        if (!journaling) {
+          const std::size_t skipped =
+              count_groups(m, worklist.minus(closed), w_ucube,
+                           inputs[j].readable_bits);
+          out.iterations += skipped;
+          out.closure_rejects += skipped;
+          worklist &= closed;
+        }
         while (!worklist.is_false()) {
           throw_if_cancelled(options.cancel);
           ++out.iterations;
           const bdd::Bdd chosen = m.pick_minterm(worklist, all_bits);
           bdd::Bdd group = group_of(chosen);
-          if (!group.leq(pool)) {
-            if (journaling) {
-              out.events.push_back(
-                  {PendingEvent::kRejected, "closure", group, group, pool});
-            }
+          if (journaling && !chosen.leq(closed)) {
+            out.events.push_back(
+                {PendingEvent::kRejected, "closure", group, group, pool});
+            ++out.closure_rejects;
             pool = pool.minus(group);
             worklist = worklist.minus(group);
             continue;
           }
+          assert(group.leq(pool));
           if (options.use_expand_group) {
             for (const auto& [cube_v, unchanged_v] : expand) {
               const bdd::Bdd widened = m.exists(group, cube_v) & unchanged_v;
@@ -166,6 +203,7 @@ std::vector<bdd::Bdd> realize_parallel(
     const std::size_t w = j % engine.contexts();
     ProcessOutcome& out = outcomes[j];
     stats.group_iterations += out.iterations;
+    stats.closure_rejects += out.closure_rejects;
     stats.expand_successes += out.expand_successes;
     stats.expand_failures += out.expand_failures;
     if (journaling) {
@@ -220,20 +258,27 @@ std::vector<bdd::Bdd> realize(prog::DistributedProgram& program,
   // Self-loops are realized by stuttering, not by grouping.
   const bdd::Bdd proper = with_outside.minus(identity);
 
-  if (sym::IntraEngine* engine = space.intra();
-      engine != nullptr && program.process_count() > 1) {
-    std::vector<bdd::Bdd> result =
-        realize_parallel(program, proper, tolerance, options, stats, *engine);
+  // Accepted groups = group_iterations - closure_rejects.
+  const auto finish = [&] {
     stats.peak_bdd_nodes =
         std::max(stats.peak_bdd_nodes, mgr.stats().peak_nodes);
     if (support::trace::enabled()) {
       span.attr("group_iterations",
                 static_cast<std::uint64_t>(stats.group_iterations));
+      span.attr("closure_rejects",
+                static_cast<std::uint64_t>(stats.closure_rejects));
       span.attr("expand_accepts",
                 static_cast<std::uint64_t>(stats.expand_successes));
       span.attr("expand_rejects",
                 static_cast<std::uint64_t>(stats.expand_failures));
     }
+  };
+
+  if (sym::IntraEngine* engine = space.intra();
+      engine != nullptr && program.process_count() > 1) {
+    std::vector<bdd::Bdd> result =
+        realize_parallel(program, proper, tolerance, options, stats, *engine);
+    finish();
     return result;
   }
 
@@ -251,11 +296,13 @@ std::vector<bdd::Bdd> realize(prog::DistributedProgram& program,
     bdd::Bdd accepted = space.bdd_false();
 
     throw_if_cancelled(options.cancel);
+    // The transitions whose whole group is present. Groups partition the
+    // write-respecting transitions, so this is fixed before any group is
+    // enumerated (DESIGN.md, "Closure-first group enumeration").
+    const bdd::Bdd closed = program.realizable_subset(j, delta_j_pool);
     if (options.group_method == GroupMethod::kOneShot) {
-      // Equivalent one-pass formulation: keep exactly the transitions whose
-      // whole group is present, then restrict to groups that carry span
-      // behavior.
-      const bdd::Bdd closed = program.realizable_subset(j, delta_j_pool);
+      // Equivalent one-pass formulation: keep exactly the closed
+      // transitions, restricted to groups that carry span behavior.
       accepted = program.group(j, closed & tolerance);
       if (options.journal != nullptr) {
         options.journal->group_accepted("repair.realize", j, accepted);
@@ -276,7 +323,21 @@ std::vector<bdd::Bdd> realize(prog::DistributedProgram& program,
         if (writes.count(v) == 0) expandable.push_back(v);
       }
 
+      // Closure first: without a journal, the groups Line 11 would reject
+      // are counted in one step and never enumerated, and the pool
+      // shrinks by accepted groups only (a group that is not closed fails
+      // every later containment test regardless). With a journal, every
+      // group is still visited so each rejection is journaled in order.
       bdd::Bdd worklist = delta_j_pool & tolerance;
+      if (options.journal == nullptr) {
+        const std::size_t skipped =
+            count_groups(mgr, worklist.minus(closed),
+                         program.unreadable_cube(j),
+                         readable_bits(space, proc));
+        stats.group_iterations += skipped;
+        stats.closure_rejects += skipped;
+        worklist &= closed;
+      }
       support::progress::Heartbeat heartbeat("realize.groups");
       while (!worklist.is_false()) {
         throw_if_cancelled(options.cancel);
@@ -293,16 +354,16 @@ std::vector<bdd::Bdd> realize(prog::DistributedProgram& program,
         const bdd::Bdd chosen = mgr.pick_minterm(worklist, all_bits_cube);
         // Line 9: its group.
         bdd::Bdd group = program.group(j, chosen);
-        if (!group.leq(delta_j_pool)) {
+        if (options.journal != nullptr && !chosen.leq(closed)) {
           // Line 11: some member is missing; discard the whole group.
-          if (options.journal != nullptr) {
-            options.journal->group_rejected("repair.realize", j, "closure",
-                                            group, group, delta_j_pool);
-          }
+          options.journal->group_rejected("repair.realize", j, "closure",
+                                          group, group, delta_j_pool);
+          ++stats.closure_rejects;
           delta_j_pool = delta_j_pool.minus(group);
           worklist = worklist.minus(group);
           continue;
         }
+        assert(group.leq(delta_j_pool));
         // Lines 13-18: try to widen the group by dropping readable
         // variables from the implicit guard.
         if (options.use_expand_group) {
@@ -333,16 +394,7 @@ std::vector<bdd::Bdd> realize(prog::DistributedProgram& program,
     }
     result.push_back(std::move(accepted));
   }
-  stats.peak_bdd_nodes =
-      std::max(stats.peak_bdd_nodes, mgr.stats().peak_nodes);
-  if (support::trace::enabled()) {
-    span.attr("group_iterations",
-              static_cast<std::uint64_t>(stats.group_iterations));
-    span.attr("expand_accepts",
-              static_cast<std::uint64_t>(stats.expand_successes));
-    span.attr("expand_rejects",
-              static_cast<std::uint64_t>(stats.expand_failures));
-  }
+  finish();
   return result;
 }
 

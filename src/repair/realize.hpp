@@ -27,8 +27,13 @@ namespace lr::repair {
 /// computed exactly instead of over-approximated; it is what lets the
 /// classic Byzantine-agreement solution through (see DESIGN.md).
 ///
-/// Groups are then accepted only when all their members are present;
-/// ExpandGroup (options.use_expand_group) merges groups that differ only in
+/// Groups are then accepted only when all their members are present. That
+/// test is decided up front, one ∀ per process: without a journal the loop
+/// enumerates only the groups it accepts and counts the rejected ones in
+/// Stats::group_iterations and Stats::closure_rejects in one step (with a
+/// journal it visits every group so each rejection is recorded in order).
+/// Decisions, deltas and counters equal the paper's literal loop; see
+/// DESIGN.md, "Closure-first group enumeration". ExpandGroup (options.use_expand_group) merges groups that differ only in
 /// the value of a readable-but-unwritten variable, which removes an
 /// exponential number of loop iterations when it succeeds.
 ///

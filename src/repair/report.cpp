@@ -21,6 +21,7 @@ void record_run_metrics(const Stats& stats, const std::string& prefix) {
   m.add(p + "repair.outer_iterations", stats.outer_iterations);
   m.add(p + "repair.addmasking_rounds", stats.addmasking_rounds);
   m.add(p + "repair.group_iterations", stats.group_iterations);
+  m.add(p + "repair.closure_rejects", stats.closure_rejects);
   m.add(p + "repair.expand_accepts", stats.expand_successes);
   m.add(p + "repair.expand_rejects", stats.expand_failures);
   m.add(p + "repair.recovery_layers", stats.recovery_layers);

@@ -112,6 +112,7 @@ struct Stats {
   std::size_t outer_iterations = 0;       ///< Algorithm 1 repeat rounds
   std::size_t addmasking_rounds = 0;      ///< Step-1 outer fixpoint rounds
   std::size_t group_iterations = 0;       ///< Algorithm 2 loop iterations
+  std::size_t closure_rejects = 0;        ///< groups rejected by Line 11
   std::size_t expand_successes = 0;       ///< accepted ExpandGroup enlargements
   std::size_t expand_failures = 0;        ///< rejected ExpandGroup enlargements
   std::size_t recovery_layers = 0;        ///< BFS layers of the fault span

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "lang/parser.hpp"
@@ -207,6 +208,53 @@ TEST(ParserTest, FlatTwoHundredThousandTermOrChainRepairsWithoutCrashing) {
 
 TEST(ParserTest, FlatTwoHundredThousandTermAndChainRepairsWithoutCrashing) {
   expect_flat_chain_repairs("&&");
+}
+
+/// `first op 0 op 0 ...` with `terms` terms in all: a flat, left-deep
+/// arithmetic chain whose value is `first` and whose compiled width grows
+/// by one bit per term.
+std::string arith_chain(std::uint32_t first, const char* op,
+                        std::size_t terms) {
+  std::string out = std::to_string(first);
+  for (std::size_t i = 1; i < terms; ++i) out += std::string(" ") + op + " 0";
+  return out;
+}
+
+/// Parses, repairs, verifies and exports a quickstart model whose guard,
+/// invariant and bad-state predicate each compare x against a flat `op`
+/// chain of 200,000 terms, re-parses the export and destroys both models:
+/// every pass over the chain must be iterative, and compiling it linear.
+void expect_arith_chain_round_trips(const char* op) {
+  constexpr std::size_t kTerms = 200000;
+  const std::string model =
+      "program flat;\nvar x : 0..2;\nprocess worker {\n  reads x;\n"
+      "  writes x;\n  action reset: x == " + arith_chain(1, op, kTerms) +
+      " -> x := 0;\n}\nfault glitch: x == 0 -> x := 1;\ninvariant x == (" +
+      arith_chain(0, op, kTerms) + ");\nbad_state x == " +
+      arith_chain(2, op, kTerms) + ";\n";
+  auto p = parse_program(model);
+  EXPECT_DOUBLE_EQ(p->space().count_states(p->invariant()), 1.0);
+  const auto result = repair::lazy_repair(*p);
+  ASSERT_TRUE(result.success);
+  EXPECT_TRUE(repair::verify_masking(*p, result).ok);
+  // The export prints each chain as one group, which the parser folds back
+  // into the same left-deep tree.
+  const std::string exported = repair::export_model(*p, result);
+  EXPECT_NE(exported.find("invariant (x == (" + arith_chain(0, op, kTerms) +
+                          "));"),
+            std::string::npos);
+  auto again = parse_program(exported);
+  EXPECT_DOUBLE_EQ(again->space().count_states(again->invariant()), 1.0);
+  EXPECT_EQ(again->invariant_expression().to_string(again->space()),
+            p->invariant_expression().to_string(p->space()));
+}
+
+TEST(ParserTest, FlatTwoHundredThousandTermPlusChainRoundTripsWithoutCrashing) {
+  expect_arith_chain_round_trips("+");
+}
+
+TEST(ParserTest, FlatTwoHundredThousandTermMinusChainRoundTripsWithoutCrashing) {
+  expect_arith_chain_round_trips("-");
 }
 
 TEST(ParserTest, UpperBoundOfTwoTo32MinusOneIsRejectedNotWrapped) {
