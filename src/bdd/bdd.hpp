@@ -134,6 +134,20 @@ struct ManagerStats {
   std::size_t peak_bytes = 0;        ///< high-water mark of pool+table+cache bytes
 };
 
+/// Adds `from`'s summable counters (creations, GCs, unique-table and
+/// op-cache traffic) to `into`. The gauges and high-water marks (live,
+/// peak, cache entries, bytes) describe one manager and are left alone.
+inline void add_counters(ManagerStats& into, const ManagerStats& from) {
+  into.created_nodes += from.created_nodes;
+  into.gc_runs += from.gc_runs;
+  into.gc_reclaimed += from.gc_reclaimed;
+  into.unique_hits += from.unique_hits;
+  into.cache_lookups += from.cache_lookups;
+  into.cache_hits += from.cache_hits;
+  into.cache_evictions += from.cache_evictions;
+  into.cache_resizes += from.cache_resizes;
+}
+
 /// What caused a garbage collection.
 enum class GcTrigger {
   kThreshold,  ///< live nodes crossed the adaptive gc_threshold

@@ -190,8 +190,16 @@ const bdd::Bdd& DistributedProgram::unreadable_cube(std::size_t j) {
   return unreadable_cubes_.at(j);
 }
 
-bdd::Bdd DistributedProgram::group(std::size_t j, const bdd::Bdd& delta) {
+const bdd::Bdd& DistributedProgram::member_shape(std::size_t j) {
   compile();
+  if (member_shapes_.empty()) member_shapes_.resize(processes_.size());
+  bdd::Bdd& shape = member_shapes_.at(j);
+  if (!shape.valid()) shape = same_unreadable_[j] & space_.valid_pair();
+  return shape;
+}
+
+bdd::Bdd DistributedProgram::group(std::size_t j, const bdd::Bdd& delta) {
+  const bdd::Bdd& shape = member_shape(j);
   LR_TRACE_SPAN("program.group");
   bdd::Manager& mgr = space_.manager();
   // Transitions that change an unreadable variable have an empty group, so
@@ -200,22 +208,20 @@ bdd::Bdd DistributedProgram::group(std::size_t j, const bdd::Bdd& delta) {
   // conjunct, non-power-of-two domains would contribute phantom members
   // with out-of-domain encodings.)
   const bdd::Bdd restricted = delta & same_unreadable_[j];
-  return mgr.exists(restricted, unreadable_cubes_[j]) & same_unreadable_[j] &
-         space_.valid_pair();
+  return mgr.exists(restricted, unreadable_cubes_[j]) & shape;
 }
 
 bdd::Bdd DistributedProgram::realizable_subset(std::size_t j,
                                                const bdd::Bdd& delta) {
-  compile();
+  const bdd::Bdd& shape = member_shape(j);
   LR_TRACE_SPAN("program.realizable_subset");
   bdd::Manager& mgr = space_.manager();
   // A transition's group is contained in δ iff δ holds for every valid
   // value of the unreadable variables (held unchanged): one universal
   // quantification.
-  const bdd::Bdd member_shape = same_unreadable_[j] & space_.valid_pair();
   const bdd::Bdd closed =
-      mgr.forall(member_shape.implies(delta), unreadable_cubes_[j]);
-  return delta & member_shape & closed;
+      mgr.forall(shape.implies(delta), unreadable_cubes_[j]);
+  return delta & shape & closed;
 }
 
 bool DistributedProgram::realizable_by_process(std::size_t j,

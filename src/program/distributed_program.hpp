@@ -139,6 +139,11 @@ class DistributedProgram {
   /// Cube of both copies of every bit process j cannot read.
   [[nodiscard]] const bdd::Bdd& unreadable_cube(std::size_t j);
 
+  /// same_unreadable(j) ∧ valid_pair: the shape every member of a process-j
+  /// group has (unreadable variables unchanged, every value in its domain).
+  /// Built on first use, so compilation does not pay for it.
+  [[nodiscard]] const bdd::Bdd& member_shape(std::size_t j);
+
   /// group_j(δ): the read-restriction closure of δ for process j —
   /// the union of the groups of all transitions of δ ∩ same_unreadable(j)
   /// (a transition changing an unreadable variable has an empty group).
@@ -188,6 +193,7 @@ class DistributedProgram {
   std::vector<bdd::Bdd> respects_write_;
   std::vector<bdd::Bdd> same_unreadable_;
   std::vector<bdd::Bdd> unreadable_cubes_;
+  std::vector<bdd::Bdd> member_shapes_;  // invalid until member_shape(j)
   std::optional<bdd::Bdd> reachable_;
 };
 

@@ -46,10 +46,9 @@ bdd::Bdd tolerant_groups(prog::DistributedProgram& program, std::size_t j,
   bdd::Manager& mgr = space.manager();
   if (options.group_method == GroupMethod::kOneShot) {
     const bdd::Bdd acceptable = zone | ~reachable;
-    const bdd::Bdd member_shape =
-        program.same_unreadable(j) & space.valid_pair();
-    const bdd::Bdd closed = mgr.forall(member_shape.implies(acceptable),
-                                       program.unreadable_cube(j));
+    const bdd::Bdd closed =
+        mgr.forall(program.member_shape(j).implies(acceptable),
+                   program.unreadable_cube(j));
     const bdd::Bdd seeds = candidate & zone & closed;
     const bdd::Bdd accepted = program.group(j, seeds);
     if (options.journal != nullptr) {
@@ -95,9 +94,9 @@ RepairResult cautious_repair(prog::DistributedProgram& program,
   support::Stopwatch total;
 
   RepairResult result;
-  const auto finish = [&result, &mgr, &total] {
+  const auto finish = [&result, &space, &total] {
     result.stats.total_seconds = total.seconds();
-    result.stats.bdd = mgr.stats();
+    result.stats.bdd = space.engine_stats();
     result.stats.peak_bdd_nodes =
         std::max(result.stats.peak_bdd_nodes, result.stats.bdd.peak_nodes);
   };

@@ -79,7 +79,7 @@ RepairResult lazy_repair(prog::DistributedProgram& program,
   RepairResult result;
   const auto finish = [&result, &space, &total] {
     result.stats.total_seconds = total.seconds();
-    result.stats.bdd = space.manager().stats();
+    result.stats.bdd = space.engine_stats();
     result.stats.peak_bdd_nodes =
         std::max(result.stats.peak_bdd_nodes, result.stats.bdd.peak_nodes);
   };

@@ -32,10 +32,15 @@ namespace lr::repair {
 /// enumerates only the groups it accepts and counts the rejected ones in
 /// Stats::group_iterations and Stats::closure_rejects in one step (with a
 /// journal it visits every group so each rejection is recorded in order).
-/// Decisions, deltas and counters equal the paper's literal loop; see
-/// DESIGN.md, "Closure-first group enumeration". ExpandGroup (options.use_expand_group) merges groups that differ only in
+/// ExpandGroup (options.use_expand_group) merges groups that differ only in
 /// the value of a readable-but-unwritten variable, which removes an
-/// exponential number of loop iterations when it succeeds.
+/// exponential number of loop iterations when it succeeds; each attempt is
+/// decided against a ∀ built once per variable and the groups accepted so
+/// far, never against a rebuilt pool. Decisions, deltas, counters and
+/// journals equal the paper's literal loop; see DESIGN.md, "Closure-first
+/// group enumeration" and "Fixed-pool Algorithm 2". The per-process loop
+/// is one function: it runs on the main manager, or, with the intra engine
+/// on, on each worker's manager.
 ///
 /// The returned δ_j contain exactly the accepted groups that carry some
 /// behavior inside `tolerance` (groups entirely outside it are don't-cares

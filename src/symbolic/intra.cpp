@@ -65,6 +65,12 @@ IntraEngine::~IntraEngine() {
   }
 }
 
+void IntraEngine::add_worker_counters(bdd::ManagerStats& stats) const {
+  for (const auto& worker : workers_) {
+    bdd::add_counters(stats, worker->mgr.stats());
+  }
+}
+
 void IntraEngine::drop_pins() {
   pinned_.clear();
   split_cache_.clear();

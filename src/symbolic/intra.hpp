@@ -92,6 +92,11 @@ class IntraEngine {
   /// Pool threads executing the contexts.
   [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
 
+  /// Adds every worker manager's summable counters to `stats` (see
+  /// bdd::add_counters). Each context runs a fixed op sequence, so the
+  /// sums do not depend on jobs().
+  void add_worker_counters(bdd::ManagerStats& stats) const;
+
   /// Main thread only: keeps `f` (and thus every node reachable from it)
   /// alive and id-stable so workers may import it. Pins accumulate across
   /// calls and are released wholesale (with all worker memos) when the pin

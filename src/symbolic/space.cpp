@@ -473,13 +473,21 @@ bdd::Bdd Space::has_successor_in(const TransitionRelation& rel,
 
 void Space::enable_intra(std::size_t jobs) {
   freeze();
-  if (jobs <= 1) {
+  if (intra_ != nullptr && jobs > 1 && intra_->jobs() == jobs) return;
+  if (intra_ != nullptr) {
+    intra_->add_worker_counters(retired_worker_counters_);
     intra_.reset();
-    return;
   }
-  if (intra_ != nullptr && intra_->jobs() == jobs) return;
+  if (jobs <= 1) return;
   intra_ = std::make_unique<IntraEngine>(mgr_, jobs, cur_bit_list_,
                                          next_bit_list_, swap_perm_vec_);
+}
+
+bdd::ManagerStats Space::engine_stats() const {
+  bdd::ManagerStats stats = mgr_.stats();
+  bdd::add_counters(stats, retired_worker_counters_);
+  if (intra_ != nullptr) intra_->add_worker_counters(stats);
+  return stats;
 }
 
 double Space::count_states(const bdd::Bdd& set) {

@@ -203,6 +203,12 @@ class Space {
   /// uses it directly for parallel per-process group enumeration.
   [[nodiscard]] IntraEngine* intra() noexcept { return intra_.get(); }
 
+  /// The main manager's counters plus the summable counters (lookups,
+  /// hits, created nodes, GCs, ...) of every intra worker manager this
+  /// space has run, so a report covers all of its BDD work. High-water
+  /// marks (live, peak, bytes, cache entries) stay the main manager's.
+  [[nodiscard]] bdd::ManagerStats engine_stats() const;
+
   // --- Counting and enumeration -----------------------------------------------------
 
   /// Number of valid states in a state predicate.
@@ -282,6 +288,8 @@ class Space {
   std::vector<bdd::VarIndex> next_bit_list_;
   std::vector<bdd::VarIndex> swap_perm_vec_;
   std::unique_ptr<IntraEngine> intra_;
+  // Worker counters of engines enable_intra has already replaced.
+  bdd::ManagerStats retired_worker_counters_;
 };
 
 }  // namespace lr::sym

@@ -51,6 +51,9 @@ struct Artifacts {
   std::string exported;  ///< export_model() text (empty on failure)
   std::string journal;   ///< Journal::to_jsonl()
   std::string keys;      ///< comparable (non-timing) repair metrics
+  /// The summed engine counters of the main and worker managers: equal
+  /// across intra_jobs >= 2 (kContexts fixed), different from 1 by design.
+  std::string engine;
 };
 
 /// The metrics-json `repair.*` keys minus wall-clock (`*_seconds`) and the
@@ -73,6 +76,19 @@ std::string comparable_keys(const Stats& stats) {
   return out.str();
 }
 
+/// The summable bdd.* counters of a run (see bdd::add_counters).
+std::string engine_counters(const bdd::ManagerStats& bdd) {
+  std::ostringstream out;
+  out << "cache_lookups=" << bdd.cache_lookups
+      << " cache_hits=" << bdd.cache_hits
+      << " cache_evictions=" << bdd.cache_evictions
+      << " cache_resizes=" << bdd.cache_resizes
+      << " created_nodes=" << bdd.created_nodes
+      << " unique_hits=" << bdd.unique_hits << " gc_runs=" << bdd.gc_runs
+      << " gc_reclaimed=" << bdd.gc_reclaimed;
+  return out.str();
+}
+
 Artifacts run_repair(const ProgramFactory& make, std::size_t intra_jobs,
                      Options options = {}, bool cautious = false) {
   std::unique_ptr<prog::DistributedProgram> program = make();
@@ -90,6 +106,7 @@ Artifacts run_repair(const ProgramFactory& make, std::size_t intra_jobs,
   if (result.success) artifacts.exported = export_model(*program, result);
   artifacts.journal = journal.to_jsonl();
   artifacts.keys = comparable_keys(result.stats);
+  artifacts.engine = engine_counters(result.stats.bdd);
   return artifacts;
 }
 
@@ -126,11 +143,31 @@ constexpr std::size_t kIntraValues[] = {2, 4, 8};
 void expect_all_intra_equivalent(const char* name, const ProgramFactory& make,
                                  Options options = {}, bool cautious = false) {
   const Artifacts seq = run_repair(make, 1, options, cautious);
+  std::string first_engine;
   for (const std::size_t intra : kIntraValues) {
     const Artifacts par = run_repair(make, intra, options, cautious);
     EXPECT_TRUE(equivalent(seq, par, std::string(name) + " intra_jobs=" +
                                          std::to_string(intra)));
+    // Worker counters are part of the report, and the thread count must
+    // not move them.
+    if (first_engine.empty()) first_engine = par.engine;
+    EXPECT_EQ(par.engine, first_engine)
+        << name << " intra_jobs=" << intra << ": merged engine counters";
   }
+}
+
+TEST(IntraParallelTest, ReportCountsWorkerManagers) {
+  // realize's group loop runs on the worker managers; their work must show
+  // in Stats::bdd, not only in the main manager's own counters.
+  auto program = cs::make_byzantine({.non_generals = 3});
+  Options options;
+  options.intra_jobs = 4;
+  const RepairResult result = lazy_repair(*program, options);
+  ASSERT_TRUE(result.success);
+  const bdd::ManagerStats& main = program->space().manager().stats();
+  EXPECT_GT(result.stats.bdd.cache_lookups, main.cache_lookups);
+  EXPECT_GT(result.stats.bdd.created_nodes, main.created_nodes);
+  EXPECT_EQ(result.stats.bdd.peak_nodes, main.peak_nodes);
 }
 
 TEST(IntraParallelTest, TmrMatchesSequential) {

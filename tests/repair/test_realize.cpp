@@ -1,5 +1,5 @@
 // Unit tests for Step 2 (Algorithm 2), the equivalence of its two group
-// methods, and the closure-first enumeration against the literal loop.
+// methods, and the closure-first, fixed-pool loop against the literal loop.
 
 #include <gtest/gtest.h>
 
@@ -143,15 +143,37 @@ TEST(RealizeTest, GroupIterationsAreCounted) {
 
 // --- Closure-first enumeration vs. the literal loop ----------------------------
 
+/// How the literal loop's ExpandGroup attempts split over the facts that
+/// realize() decides them by (DESIGN.md, "Fixed-pool Algorithm 2"), with
+/// fits_v = ∀(v,v′).(unchanged_v → closed), closed = realizable_subset(pool₀).
+struct ExpandBranches {
+  std::size_t fits_false = 0;      ///< fits_v ≡ false: fails with no BDD op
+  std::size_t outside_fits = 0;    ///< group ⊄ fits_v
+  std::size_t meets_accepted = 0;  ///< group ⊆ fits_v, widened ∩ accepted ≠ ∅
+  std::size_t widened = 0;         ///< success
+
+  ExpandBranches& operator+=(const ExpandBranches& other) {
+    fits_false += other.fits_false;
+    outside_fits += other.outside_fits;
+    meets_accepted += other.meets_accepted;
+    widened += other.widened;
+    return *this;
+  }
+};
+
 /// Lines 1-22 of Algorithm 2 exactly as the paper states them: one loop
 /// iteration per group, a group with a missing member is rejected inside
-/// the loop and removed from both the pool and the worklist. realize()
-/// decides closure before the loop instead; this is the reference it must
-/// reproduce decision for decision.
+/// the loop and removed from both the pool and the worklist, and every
+/// ExpandGroup attempt tests the widened group against the current pool.
+/// realize() decides closure before the loop and ExpandGroup against a pool
+/// fixed before it; this is the reference it must reproduce decision for
+/// decision. Each ExpandGroup attempt is also classified into `branches`,
+/// and the class must agree with the literal decision.
 std::vector<bdd::Bdd> literal_realize(prog::DistributedProgram& program,
                                       const bdd::Bdd& delta,
                                       const bdd::Bdd& tolerance,
-                                      const Options& options, Stats& stats) {
+                                      const Options& options, Stats& stats,
+                                      ExpandBranches& branches) {
   sym::Space& space = program.space();
   bdd::Manager& mgr = space.manager();
   const bdd::Bdd proper =
@@ -166,6 +188,7 @@ std::vector<bdd::Bdd> literal_realize(prog::DistributedProgram& program,
     const std::unordered_set<sym::VarId> writes(proc.writes.begin(),
                                                 proc.writes.end());
     bdd::Bdd pool = proper & program.respects_write(j);
+    const bdd::Bdd closed = program.realizable_subset(j, pool);
     bdd::Bdd worklist = pool & tolerance;
     bdd::Bdd accepted = space.bdd_false();
     while (!worklist.is_false()) {
@@ -188,7 +211,23 @@ std::vector<bdd::Bdd> literal_realize(prog::DistributedProgram& program,
           const sym::VarId vs[1] = {v};
           const bdd::Bdd widened =
               mgr.exists(group, space.cube_pair_of(vs)) & space.unchanged(v);
-          if (widened.leq(pool)) {
+          const bool fits_pool = widened.leq(pool);
+          const bdd::Bdd fits = mgr.forall(
+              space.unchanged(v).implies(closed), space.cube_pair_of(vs));
+          if (fits.is_false()) {
+            ++branches.fits_false;
+            EXPECT_FALSE(fits_pool);
+          } else if (!group.leq(fits)) {
+            ++branches.outside_fits;
+            EXPECT_FALSE(fits_pool);
+          } else if (!widened.disjoint(accepted)) {
+            ++branches.meets_accepted;
+            EXPECT_FALSE(fits_pool);
+          } else {
+            ++branches.widened;
+            EXPECT_TRUE(fits_pool);
+          }
+          if (fits_pool) {
             group = widened;
             ++stats.expand_successes;
           } else {
@@ -211,14 +250,21 @@ std::vector<bdd::Bdd> literal_realize(prog::DistributedProgram& program,
 using ProgramFactory =
     std::function<std::unique_ptr<prog::DistributedProgram>()>;
 
+/// What one model's comparison exercised: the literal loop's closure
+/// rejections and its ExpandGroup attempts by deciding fact.
+struct OracleCoverage {
+  std::size_t closure_rejects = 0;
+  ExpandBranches branches;
+};
+
 /// Runs Step 1 once, then realize() and literal_realize() on its output in
-/// the same manager, with the journal off and on and at intra_jobs 1 and 4,
-/// and compares deltas (==), loop counters and journal bytes. Returns the
-/// literal loop's closure rejections, so callers can check that the
-/// comparison exercised the rejection path.
-std::size_t expect_matches_literal_loop(const ProgramFactory& make,
-                                        const std::string& what,
-                                        bool expand = true) {
+/// the same manager, with the journal off and on and at intra_jobs 1, 4 and
+/// 8, and compares deltas (==), loop counters and journal bytes. Returns
+/// what the literal loop exercised, so callers can check that the
+/// comparison reached the rejection path and every ExpandGroup branch.
+OracleCoverage expect_matches_literal_loop(const ProgramFactory& make,
+                                           const std::string& what,
+                                           bool expand = true) {
   SCOPED_TRACE(what);
   auto p = make();
   Options options;
@@ -227,7 +273,8 @@ std::size_t expect_matches_literal_loop(const ProgramFactory& make,
   const StepOneResult step1 =
       add_masking(*p, p->invariant(), p->space().bdd_false(), bdd::Bdd(),
                   options, step1_stats);
-  if (!step1.success) return 0;  // nothing for Step 2 to realize
+  OracleCoverage coverage;
+  if (!step1.success) return coverage;  // nothing for Step 2 to realize
   std::vector<bdd::Bdd> parts{step1.delta};
   for (const bdd::Bdd& f : p->fault_action_deltas()) parts.push_back(f);
   const bdd::Bdd tolerance = p->space().forward_reachable(
@@ -235,9 +282,9 @@ std::size_t expect_matches_literal_loop(const ProgramFactory& make,
                                      sym::RelationMode::kMono),
       step1.invariant);
 
-  std::size_t rejects = 0;
   for (const bool journaling : {false, true}) {
-    for (const std::size_t intra : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t intra :
+         {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
       SCOPED_TRACE("journal=" + std::to_string(journaling) +
                    " intra_jobs=" + std::to_string(intra));
       Journal literal_journal;
@@ -251,8 +298,10 @@ std::size_t expect_matches_literal_loop(const ProgramFactory& make,
         run_options.journal = &journal;
       }
       Stats literal_stats;
-      const std::vector<bdd::Bdd> expected = literal_realize(
-          *p, step1.delta, tolerance, literal_options, literal_stats);
+      ExpandBranches branches;
+      const std::vector<bdd::Bdd> expected =
+          literal_realize(*p, step1.delta, tolerance, literal_options,
+                          literal_stats, branches);
       p->space().enable_intra(intra);
       Stats stats;
       const std::vector<bdd::Bdd> actual =
@@ -269,10 +318,11 @@ std::size_t expect_matches_literal_loop(const ProgramFactory& make,
       EXPECT_EQ(stats.expand_successes, literal_stats.expand_successes);
       EXPECT_EQ(stats.expand_failures, literal_stats.expand_failures);
       EXPECT_EQ(journal.to_jsonl(), literal_journal.to_jsonl());
-      rejects = literal_stats.closure_rejects;
+      coverage.closure_rejects = literal_stats.closure_rejects;
+      coverage.branches = branches;
     }
   }
-  return rejects;
+  return coverage;
 }
 
 ProgramFactory model_file(const char* name) {
@@ -283,28 +333,45 @@ ProgramFactory model_file(const char* name) {
 }
 
 TEST(RealizeClosureFirstTest, MatchesLiteralLoopOnCaseStudies) {
-  expect_matches_literal_loop([] { return cs::make_tmr({}); }, "tmr");
-  expect_matches_literal_loop(model_file("tmr.lr"), "tmr.lr");
-  expect_matches_literal_loop(model_file("mutex_ring.lr"), "mutex_ring.lr");
-  expect_matches_literal_loop(
-      [] { return cs::make_token_ring({.processes = 4, .domain = 3}); },
-      "token ring 4x3");
-  EXPECT_GT(expect_matches_literal_loop(
-                [] { return cs::make_byzantine({.non_generals = 3}); },
-                "BA^3"),
-            0u);
-  expect_matches_literal_loop(
-      [] { return cs::make_byzantine({.non_generals = 3}); },
-      "BA^3 without ExpandGroup", /*expand=*/false);
-  expect_matches_literal_loop(
-      [] { return cs::make_byzantine({.non_generals = 4}); }, "BA^4");
-  expect_matches_literal_loop(
-      [] {
-        return cs::make_byzantine({.non_generals = 3, .fail_stop = true});
-      },
-      "BAFS^3");
-  expect_matches_literal_loop(
-      [] { return cs::make_chain({.length = 10, .domain = 8}); }, "Sc^10 d8");
+  ExpandBranches branches;
+  const auto check = [&](const ProgramFactory& make, const std::string& what,
+                         bool expand = true) {
+    const OracleCoverage coverage =
+        expect_matches_literal_loop(make, what, expand);
+    branches += coverage.branches;
+    return coverage;
+  };
+  check([] { return cs::make_tmr({}); }, "tmr");
+  check(model_file("tmr.lr"), "tmr.lr");
+  check(model_file("mutex_ring.lr"), "mutex_ring.lr");
+  check([] { return cs::make_token_ring({.processes = 4, .domain = 3}); },
+        "token ring 4x3");
+  const OracleCoverage ba3 =
+      check([] { return cs::make_byzantine({.non_generals = 3}); }, "BA^3");
+  EXPECT_GT(ba3.closure_rejects, 0u);
+  // The decision variable d.k has domain 3, so unchanged(d.k) admits an
+  // out-of-domain encoding and fits_{d.k} is false (a recorded finding).
+  EXPECT_GT(ba3.branches.fits_false, 0u);
+  check([] { return cs::make_byzantine({.non_generals = 3}); },
+        "BA^3 without ExpandGroup", /*expand=*/false);
+  const OracleCoverage ba4 =
+      check([] { return cs::make_byzantine({.non_generals = 4}); }, "BA^4");
+  EXPECT_GT(ba4.branches.fits_false, 0u);
+  check([] {
+    return cs::make_byzantine({.non_generals = 3, .fail_stop = true});
+  }, "BAFS^3");
+  check([] { return cs::make_chain({.length = 10, .domain = 8}); },
+        "Sc^10 d8");
+  // Every fact the fixed-pool loop decides by was reached, including a
+  // widened group that fits the pool but meets an accepted one.
+  EXPECT_GT(branches.fits_false, 0u);
+  EXPECT_GT(branches.outside_fits, 0u);
+  EXPECT_GT(branches.meets_accepted, 0u);
+  EXPECT_GT(branches.widened, 0u);
+  std::printf("[oracle] ExpandGroup attempts: %zu fits_v false, %zu outside "
+              "fits_v, %zu meet accepted, %zu widened\n",
+              branches.fits_false, branches.outside_fits,
+              branches.meets_accepted, branches.widened);
 }
 
 TEST(RealizeClosureFirstTest, MatchesLiteralLoopOnRandomModels) {
@@ -319,14 +386,14 @@ TEST(RealizeClosureFirstTest, MatchesLiteralLoopOnRandomModels) {
       ::setenv("LR_FUZZ_FAULTS", faults, 1);
       for (std::uint64_t i = 0; i < 8; ++i) {
         const std::uint64_t seed = testgen::model_seed(kSeed, i);
-        const std::size_t rejects = expect_matches_literal_loop(
+        const OracleCoverage coverage = expect_matches_literal_loop(
             [seed] {
               support::SplitMix64 rng(seed);
               return testgen::random_program(rng);
             },
             std::string(topology) + "/" + faults + " seed " +
                 std::to_string(seed));
-        if (rejects > 0) ++with_rejects;
+        if (coverage.closure_rejects > 0) ++with_rejects;
       }
     }
   }
